@@ -2,12 +2,12 @@
 
 Submodules
 ----------
-evolution   bounded design vectors, scored records, the sampling loop
+evolution   bounded design vectors, scored records, the search loop
 llm         prompt building, response parsing, online and mock proposers
 airfoil     Bézier airfoil geometry, validity, reward, external evaluator
 axisym      tangent-angle bodies of revolution and measure constraints
 stokesbem   axisymmetric Stokes drag by boundary elements
-ga          real-coded genetic-algorithm baseline
+ga          real-coded genetic-algorithm baseline (an ask strategy)
 problems    objective definitions binding geometry to the optimizers
 cli         configuration, orchestration, persistence, reporting
 """
@@ -17,6 +17,7 @@ from .evolution import (
     EsConfig,
     EvaluationFailed,
     EvaluatorFatal,
+    GaussianSearch,
     ProposerError,
     RecordBuffer,
     RunResult,
@@ -28,7 +29,7 @@ from .evolution import (
     run_optimization,
     select_records,
 )
-from .ga import GaConfig, run_ga
+from .ga import GaConfig, GaSearch, run_ga
 from .llm import LlmConfig, LlmProposer, MockProposer
 from .problems import AirfoilProblem, AxisymDragProblem, QuadraticProblem
 
@@ -42,6 +43,8 @@ __all__ = [
     "EvaluationFailed",
     "EvaluatorFatal",
     "GaConfig",
+    "GaSearch",
+    "GaussianSearch",
     "LlmConfig",
     "LlmProposer",
     "MockProposer",

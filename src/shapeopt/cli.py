@@ -13,27 +13,28 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .airfoil import EvaluatorConfig
 from .axisym import GeometricConstraint, export_profile_csv
 from .evolution import (
+    AskStrategy,
     Bounds,
     EsConfig,
     EvaluatorFatal,
+    GaussianSearch,
     ProposerError,
     RecordBuffer,
-    RunResult,
     ScoredRecord,
     SelectionConfig,
     encode_design,
     run_optimization,
 )
-from .ga import GaConfig, run_ga
+from .ga import GaConfig, GaSearch
 from .llm import LlmConfig, LlmProposer, MockProposer
 from .problems import AirfoilProblem, AxisymDragProblem, QuadraticProblem
 from .stokesbem import export_traction_csv
@@ -45,20 +46,68 @@ EXIT_EVALUATOR = 4
 
 PROBLEMS = ("airfoil", "axisym_volume", "axisym_area", "analytic_test")
 OPTIMIZERS = ("llm", "mock", "ga")
+AXISYM = ("axisym_volume", "axisym_area")
+REQUIRED = object()
 
-_TOP_KEYS = {
-    "problem", "optimizer", "budget", "population_size", "sigma", "n_ini",
-    "top_generations", "recent_generations", "designs_per_generation",
-    "seeds", "output_dir", "max_workers", "K", "n_samples", "n_elements",
-    "n_F", "free_indices", "samples_per_segment", "handle_fraction",
-    "evaluator_command", "reynolds", "baseline_ratio", "evaluator_timeout",
-    "dimension", "target", "llm", "ga",
-}
-_LLM_KEYS = {"endpoint", "model", "max_retries", "timeout", "api_key_env"}
-_GA_KEYS = {
-    "tournament_size", "crossover_rate", "blend_alpha", "mutation_rate",
-    "mutation_sigma", "elite_count",
-}
+
+class Key(NamedTuple):
+    """One config table row.  ``kind`` is "integer", "number", "string" or a
+    list of one ("integer list"); a trailing "?" admits null.  Booleans are
+    not numbers, and strings and lists must not be empty.  ``low`` and
+    ``high`` bound a number or each list entry.  No ``problems`` means all;
+    a dotted name lives in the block of the optimizer named before the dot.
+    """
+
+    name: str
+    default: object
+    kind: str
+    low: float | None = None
+    high: float | None = None
+    problems: tuple[str, ...] = ()
+    choices: tuple[str, ...] = ()
+
+
+# Ranges that EsConfig, SelectionConfig, GaConfig, LlmConfig and the problem
+# constructors check are left to them.  Row order is the snapshot's key order.
+CONFIG_KEYS = (
+    Key("problem", REQUIRED, "string", choices=PROBLEMS),
+    Key("optimizer", REQUIRED, "string", choices=OPTIMIZERS),
+    Key("budget", 40, "integer"),
+    Key("population_size", 8, "integer"),
+    Key("sigma", None, "number?"),
+    Key("n_ini", 2, "integer"),
+    Key("top_generations", 3, "integer"),
+    Key("recent_generations", 2, "integer"),
+    Key("designs_per_generation", 3, "integer"),
+    Key("seeds", [0], "integer list", low=0),
+    Key("output_dir", "runs", "string"),
+    Key("max_workers", 1, "integer"),
+    Key("K", 2, "integer", problems=AXISYM),
+    Key("n_samples", 801, "integer", low=201, problems=AXISYM),
+    Key("n_elements", 120, "integer", low=8, high=400, problems=AXISYM),
+    Key("n_F", 3, "integer", problems=("airfoil",)),
+    Key("free_indices", None, "integer list?", problems=("airfoil",)),
+    Key("samples_per_segment", 32, "integer", low=2, problems=("airfoil",)),
+    Key("handle_fraction", 0.3, "number", problems=("airfoil",)),
+    Key("evaluator_command", REQUIRED, "string list", problems=("airfoil",)),
+    Key("reynolds", 100.0, "number", problems=("airfoil",)),
+    Key("baseline_ratio", 0.0, "number", problems=("airfoil",)),
+    Key("evaluator_timeout", 300.0, "number?", problems=("airfoil",)),
+    Key("dimension", 3, "integer", problems=("analytic_test",)),
+    Key("target", None, "number list?", problems=("analytic_test",)),
+    Key("llm.endpoint", REQUIRED, "string"),
+    Key("llm.model", REQUIRED, "string"),
+    Key("llm.max_retries", 2, "integer"),
+    Key("llm.timeout", 60.0, "number"),
+    Key("llm.api_key_env", "SHAPEOPT_API_KEY", "string"),
+    Key("ga.tournament_size", 2, "integer"),
+    Key("ga.crossover_rate", 0.9, "number"),
+    Key("ga.blend_alpha", 0.5, "number"),
+    Key("ga.mutation_rate", 0.2, "number"),
+    Key("ga.mutation_sigma", None, "number?"),
+    Key("ga.elite_count", 1, "integer"),
+)
+_JSON_TYPES = {"integer": int, "number": (int, float), "string": str}
 
 
 class ConfigError(ValueError):
@@ -85,26 +134,24 @@ class RunSettings:
 
     def snapshot(self, seed: int) -> dict:
         """Flat JSON document that replays this single seed."""
-        doc = {
-            "problem": self.problem,
-            "optimizer": self.optimizer,
-            "budget": self.budget,
-            "population_size": self.population_size,
-            "sigma": self.sigma,
-            "n_ini": self.n_ini,
-            "top_generations": self.selection.top_generations,
-            "recent_generations": self.selection.recent_generations,
-            "designs_per_generation": self.selection.designs_per_generation,
-            "seeds": [seed],
-            "output_dir": self.output_dir,
-            "max_workers": self.max_workers,
-        }
-        doc.update(self.problem_params)
-        if self.llm is not None:
-            doc["llm"] = dict(self.llm)
-        if self.ga:
-            doc["ga"] = dict(self.ga)
+        flat = {**vars(self), **vars(self.selection), **self.problem_params}
+        doc = {key.name: flat[key.name] for key in CONFIG_KEYS if key.name in flat}
+        doc["seeds"] = [seed]
+        for block in ("llm", "ga"):
+            if flat[block]:
+                doc[block] = dict(flat[block])
         return doc
+
+    def es_config(self, seed: int) -> EsConfig:
+        return EsConfig(
+            budget=self.budget,
+            population_size=self.population_size,
+            sigma=self.sigma,
+            n_initial=self.n_ini,
+            selection=self.selection,
+            seed=seed,
+            max_workers=self.max_workers,
+        )
 
 
 def _require(condition: bool, message: str) -> None:
@@ -112,160 +159,83 @@ def _require(condition: bool, message: str) -> None:
         raise ConfigError(message)
 
 
-def _as_int(raw: dict, key: str, default: int, minimum: int, maximum: int | None = None) -> int:
-    value = raw.get(key, default)
-    _require(isinstance(value, int) and not isinstance(value, bool), f"{key} must be an integer")
-    _require(value >= minimum, f"{key} must be at least {minimum}")
-    if maximum is not None:
-        _require(value <= maximum, f"{key} must be at most {maximum}")
-    return value
+def _fits(kind: str, value) -> bool:
+    if kind.endswith("?"):
+        return value is None or _fits(kind[:-1], value)
+    if kind.endswith(" list"):
+        return isinstance(value, list) and all(_fits(kind[:-5], v) for v in value)
+    return isinstance(value, _JSON_TYPES[kind]) and not isinstance(value, bool)
+
+
+def _read_key(key: Key, value):
+    """Check one value against its row; numbers come back as floats."""
+    name, _, kind, low, high, _, choices = key
+    _require(value is not REQUIRED, f"{name} is required")
+    null = " or null" if kind.endswith("?") else ""
+    _require(_fits(kind, value), f"{name} must be a JSON {kind.rstrip('?')}{null}")
+    if value is None:
+        return None
+    _require(value != [] and value != "", f"{name} must not be empty")
+    for v in value if isinstance(value, list) else [value]:
+        _require(low is None or v >= low, f"{name} must be at least {low}")
+        _require(high is None or v <= high, f"{name} must be at most {high}")
+    _require(not choices or value in choices, f"{name} must be one of {choices}")
+    if isinstance(value, list):
+        return list(value)
+    return float(value) if kind.startswith("number") else value
+
+
+def _read_block(doc, block: str) -> dict:
+    """Values of the table rows one JSON object holds, defaults filled in."""
+    label = f"{block} config" if block else "config"
+    _require(isinstance(doc, dict), f"{label} must be a JSON object")
+    rows = {
+        key.name.rpartition(".")[2]: key
+        for key in CONFIG_KEYS
+        if key.name.rpartition(".")[0] == block
+    }
+    known = set(rows) if block else {key.name.partition(".")[0] for key in CONFIG_KEYS}
+    unknown = set(doc) - known
+    _require(not unknown, f"unknown {label} keys: {sorted(unknown)}")
+    values: dict = {}
+    for name, key in rows.items():  # "problem" comes first
+        if not key.problems or values["problem"] in key.problems:
+            values[name] = _read_key(key, doc.get(name, key.default))
+    return values
 
 
 def parse_config(raw: dict) -> RunSettings:
-    """Validate a config document and materialize every default."""
-    _require(isinstance(raw, dict), "config must be a JSON object")
-    unknown = set(raw) - _TOP_KEYS
-    _require(not unknown, f"unknown config keys: {sorted(unknown)}")
+    """Validate a config document against the table and materialize defaults.
 
-    problem = raw.get("problem")
-    _require(problem in PROBLEMS, f"problem must be one of {PROBLEMS}")
-    optimizer = raw.get("optimizer")
-    _require(optimizer in OPTIMIZERS, f"optimizer must be one of {OPTIMIZERS}")
-
-    budget = _as_int(raw, "budget", 40, 1)
-    population_size = _as_int(raw, "population_size", 8, 1)
-    n_ini = _as_int(raw, "n_ini", 2, 1)
-    sigma = raw.get("sigma")
-    if sigma is not None:
-        _require(
-            isinstance(sigma, (int, float)) and not isinstance(sigma, bool) and sigma > 0,
-            "sigma must be a positive number or null",
-        )
-        sigma = float(sigma)
+    The objects a run builds from the settings are built here once, so
+    their own range checks surface as ConfigError before anything is
+    written.
+    """
     try:
-        selection = SelectionConfig(
-            top_generations=_as_int(raw, "top_generations", 3, 0),
-            recent_generations=_as_int(raw, "recent_generations", 2, 0),
-            designs_per_generation=_as_int(raw, "designs_per_generation", 3, 1),
+        values = _read_block(raw, "")
+        optimizer = values["optimizer"]
+        seeds = values["seeds"]
+        _require(len(set(seeds)) == len(seeds), "seeds must be distinct")
+        settings = RunSettings(
+            **{f.name: values[f.name] for f in fields(RunSettings) if f.name in values},
+            selection=SelectionConfig(
+                **{f.name: values[f.name] for f in fields(SelectionConfig)}
+            ),
+            problem_params={
+                key.name: values[key.name]
+                for key in CONFIG_KEYS
+                if key.problems and key.name in values
+            },
+            llm=_read_block(raw.get("llm", {}), "llm") if optimizer == "llm" else None,
+            ga=_read_block(raw.get("ga", {}), "ga") if optimizer == "ga" else {},
         )
-    except ValueError as exc:
+        settings.es_config(seed=0)
+        _strategy(settings, 0, Path(settings.output_dir), make_problem(settings))
+    except ConfigError:
+        raise
+    except (ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(str(exc)) from exc
-
-    seeds = raw.get("seeds", [0])
-    _require(
-        isinstance(seeds, list) and len(seeds) >= 1
-        and all(isinstance(s, int) and not isinstance(s, bool) for s in seeds),
-        "seeds must be a non-empty list of integers",
-    )
-    _require(len(set(seeds)) == len(seeds), "seeds must be distinct")
-
-    output_dir = raw.get("output_dir", "runs")
-    _require(isinstance(output_dir, str) and output_dir, "output_dir must be a path")
-    max_workers = _as_int(raw, "max_workers", 1, 1)
-
-    params: dict = {}
-    if problem in ("axisym_volume", "axisym_area"):
-        params["K"] = _as_int(raw, "K", 2, 1, 8)
-        params["n_samples"] = _as_int(raw, "n_samples", 801, 201)
-        _require(params["n_samples"] % 2 == 1, "n_samples must be odd")
-        params["n_elements"] = _as_int(raw, "n_elements", 120, 8, 400)
-    elif problem == "airfoil":
-        params["n_F"] = _as_int(raw, "n_F", 3, 1, 4)
-        free = raw.get("free_indices")
-        if free is not None:
-            _require(
-                isinstance(free, list) and all(isinstance(i, int) for i in free),
-                "free_indices must be a list of integers",
-            )
-        params["free_indices"] = free
-        params["samples_per_segment"] = _as_int(raw, "samples_per_segment", 32, 2)
-        handle = raw.get("handle_fraction", 0.3)
-        _require(
-            isinstance(handle, (int, float)) and 0 < handle,
-            "handle_fraction must be positive",
-        )
-        params["handle_fraction"] = float(handle)
-        command = raw.get("evaluator_command")
-        _require(
-            isinstance(command, list) and command
-            and all(isinstance(c, str) for c in command),
-            "airfoil runs need evaluator_command: a non-empty list of strings",
-        )
-        params["evaluator_command"] = command
-        params["reynolds"] = float(raw.get("reynolds", 100.0))
-        params["baseline_ratio"] = float(raw.get("baseline_ratio", 0.0))
-        timeout = raw.get("evaluator_timeout", 300.0)
-        params["evaluator_timeout"] = None if timeout is None else float(timeout)
-    else:  # analytic_test
-        params["dimension"] = _as_int(raw, "dimension", 3, 1)
-        target = raw.get("target")
-        if target is not None:
-            _require(
-                isinstance(target, list) and len(target) == params["dimension"]
-                and all(isinstance(v, (int, float)) for v in target),
-                "target must be a list of numbers matching dimension",
-            )
-        params["target"] = target
-
-    llm = raw.get("llm")
-    if optimizer == "llm":
-        _require(isinstance(llm, dict), "optimizer 'llm' needs an llm config object")
-        unknown = set(llm) - _LLM_KEYS
-        _require(not unknown, f"unknown llm config keys: {sorted(unknown)}")
-        _require(
-            isinstance(llm.get("endpoint"), str) and llm["endpoint"],
-            "llm.endpoint must be a URL",
-        )
-        _require(
-            isinstance(llm.get("model"), str) and llm["model"],
-            "llm.model must be a model identifier",
-        )
-        llm = {
-            "endpoint": llm["endpoint"],
-            "model": llm["model"],
-            "max_retries": _as_int(llm, "max_retries", 2, 0),
-            "timeout": float(llm.get("timeout", 60.0)),
-            "api_key_env": str(llm.get("api_key_env", "SHAPEOPT_API_KEY")),
-        }
-    else:
-        llm = None
-
-    ga = raw.get("ga", {})
-    if optimizer == "ga":
-        _require(isinstance(ga, dict), "ga config must be an object")
-        unknown = set(ga) - _GA_KEYS
-        _require(not unknown, f"unknown ga config keys: {sorted(unknown)}")
-        sigma_mut = ga.get("mutation_sigma")
-        ga = {
-            "tournament_size": _as_int(ga, "tournament_size", 2, 2),
-            "crossover_rate": float(ga.get("crossover_rate", 0.9)),
-            "blend_alpha": float(ga.get("blend_alpha", 0.5)),
-            "mutation_rate": float(ga.get("mutation_rate", 0.2)),
-            "mutation_sigma": None if sigma_mut is None else float(sigma_mut),
-            "elite_count": _as_int(ga, "elite_count", 1, 0),
-        }
-        _require(
-            ga["elite_count"] <= population_size,
-            "ga.elite_count cannot exceed population_size",
-        )
-    else:
-        ga = {}
-
-    return RunSettings(
-        problem=problem,
-        optimizer=optimizer,
-        budget=budget,
-        population_size=population_size,
-        sigma=sigma,
-        n_ini=n_ini,
-        selection=selection,
-        seeds=list(seeds),
-        output_dir=output_dir,
-        max_workers=max_workers,
-        problem_params=params,
-        llm=llm,
-        ga=ga,
-    )
+    return settings
 
 
 def load_config(path: str | Path) -> RunSettings:
@@ -281,7 +251,7 @@ def load_config(path: str | Path) -> RunSettings:
 
 def make_problem(settings: RunSettings):
     params = settings.problem_params
-    if settings.problem in ("axisym_volume", "axisym_area"):
+    if settings.problem in AXISYM:
         constraint = (
             GeometricConstraint.fixed_volume()
             if settings.problem == "axisym_volume"
@@ -347,13 +317,13 @@ def load_records(
 ) -> tuple[RecordBuffer, int, bool]:
     """Rebuild the buffer from disk, dropping a partial trailing generation.
 
-    Returns (buffer, records kept, whether the file was rewritten).
+    A final line without its newline is a write cut short by a kill and is
+    dropped too; any other malformed line is an error.  Returns (buffer,
+    records kept, whether the file was rewritten).
     """
-    lines = [
-        line
-        for line in path.read_text(encoding="utf-8").splitlines()
-        if line.strip()
-    ]
+    lines = path.read_text(encoding="utf-8").split("\n")
+    torn = lines.pop() != ""
+    lines = [line for line in lines if line.strip()]
     parsed = []
     for n, line in enumerate(lines):
         try:
@@ -377,7 +347,7 @@ def load_records(
             f"{path}: interior generation with {len(body)} records"
             f" (expected {population_size})",
         )
-    dropped = False
+    dropped = torn
     if generations and len(generations[-1]) != population_size:
         generations.pop()
         dropped = True
@@ -415,26 +385,39 @@ def write_trajectory(path: Path, buffer: RecordBuffer) -> None:
             writer.writerow([g, repr(float(best)), repr(float(best_so_far))])
 
 
-def _write_summary(path: Path, settings: RunSettings, problem, result: RunResult) -> None:
-    best = result.best
+def _write_summary(
+    path: Path, settings: RunSettings, problem, buffer: RecordBuffer, detail
+) -> None:
+    best = buffer.best_record()
     summary = {
         "problem": settings.problem,
         "optimizer": settings.optimizer,
-        "n_generations": result.buffer.n_generations,
-        "n_records": len(result.buffer),
+        "n_generations": buffer.n_generations,
+        "n_records": len(buffer),
         "best_score": float(best.score),
         "best_generation": best.generation,
         "best_design": [float(v) for v in best.design],
         "best_encoded": [int(v) for v in encode_design(best.design, problem.bounds)],
     }
-    if isinstance(problem, AxisymDragProblem) and best.status == "ok":
-        score, profile, drag = problem.evaluate_detail(best.design)
+    if detail is not None:
+        _, profile, drag = detail
         summary["best_normalized_drag"] = drag.normalized
         summary["best_drag_force"] = drag.drag
         summary["scale_lambda"] = profile.lam
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(summary, handle, indent=2)
         handle.write("\n")
+
+
+def _strategy(settings: RunSettings, seed: int, run_dir: Path, problem) -> AskStrategy:
+    if settings.optimizer == "ga":
+        return GaSearch(
+            GaConfig(population_size=settings.population_size, seed=seed, **settings.ga)
+        )
+    if settings.optimizer == "mock":
+        return GaussianSearch(MockProposer())
+    llm_cfg = LlmConfig(audit_path=str(run_dir / "llm_audit.jsonl"), **settings.llm)
+    return GaussianSearch(LlmProposer(config=llm_cfg, objective=problem.objective))
 
 
 def run_single_seed(settings: RunSettings, seed: int, resume: bool) -> Path:
@@ -457,47 +440,20 @@ def run_single_seed(settings: RunSettings, seed: int, resume: bool) -> Path:
 
     problem = make_problem(settings)
     writer = RecordWriter(records_path, problem.bounds, start_index=kept)
-
-    if settings.optimizer == "ga":
-        ga_cfg = GaConfig(
-            population_size=settings.population_size,
-            seed=seed,
-            **settings.ga,
-        )
-        result = run_ga(
-            problem,
-            ga_cfg,
-            settings.budget - 1,
-            initial_buffer=buffer,
-            on_generation=writer,
-            max_workers=settings.max_workers,
-        )
-    else:
-        if settings.optimizer == "mock":
-            proposer = MockProposer()
-        else:
-            llm_cfg = LlmConfig(
-                audit_path=str(run_dir / "llm_audit.jsonl"), **settings.llm
-            )
-            proposer = LlmProposer(config=llm_cfg, objective=problem.objective)
-        es_cfg = EsConfig(
-            budget=settings.budget,
-            population_size=settings.population_size,
-            sigma=settings.sigma,
-            n_initial=settings.n_ini,
-            selection=settings.selection,
-            seed=seed,
-            max_workers=settings.max_workers,
-        )
-        result = run_optimization(
-            problem, proposer, es_cfg, initial_buffer=buffer, on_generation=writer
-        )
+    result = run_optimization(
+        problem,
+        _strategy(settings, seed, run_dir, problem),
+        settings.es_config(seed),
+        initial_buffer=buffer,
+        on_generation=writer,
+    )
 
     write_trajectory(run_dir / "trajectory.csv", result.buffer)
-    _write_summary(run_dir / "summary.json", settings, problem, result)
+    detail = None
     if isinstance(problem, AxisymDragProblem) and result.best.status == "ok":
-        _, profile, _ = problem.evaluate_detail(result.best.design)
-        export_profile_csv(profile, run_dir / "best_profile.csv")
+        detail = problem.evaluate_detail(result.best.design)
+        export_profile_csv(detail[1], run_dir / "best_profile.csv")
+    _write_summary(run_dir / "summary.json", settings, problem, result.buffer, detail)
     return run_dir
 
 
@@ -563,7 +519,7 @@ def cmd_sweep_nini(config_path: str, nini_values: list[int], out: str | None) ->
     """Mean best-so-far trajectory per seeding-generation count."""
     settings = load_config(config_path)
     _require(
-        settings.problem in ("axisym_volume", "axisym_area"),
+        settings.problem in AXISYM,
         "the seeding sweep is defined for the axisymmetric problems",
     )
     _require(

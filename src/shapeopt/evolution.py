@@ -1,21 +1,22 @@
-"""Core evolutionary loop: bounded designs, scored records, and
-proposal-driven Gaussian resampling.
+"""Core evolutionary loop: bounded designs, scored records, and one
+ask-evaluate-tell loop whose ask step is a pluggable strategy.
 
-Each generation is a population of designs drawn from an isotropic
-Gaussian around a mean vector and clamped to the search box.  The mean of
-the next generation comes from a pluggable proposer that studies a curated
-subset of the scored records; the standard deviation stays fixed.  Designs
-travel to proposers as integers on a 0..1000 grid per dimension, which
-keeps prompts compact and proposals unambiguous.
+The Gaussian strategy draws each generation from an isotropic Gaussian
+around a mean vector, clamped to the search box; the mean comes from a
+pluggable proposer that studies a curated subset of the scored records,
+and the standard deviation stays fixed.  Designs travel to proposers as
+integers on a 0..1000 grid per dimension, which keeps prompts compact and
+proposals unambiguous.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Protocol, Sequence
 
 import numpy as np
+from numpy.random import Generator
 
 ENCODING_STEPS = 1000
 
@@ -23,11 +24,13 @@ STATUS_OK = "ok"
 STATUS_FAILED = "failed"
 
 __all__ = [
+    "AskStrategy",
     "Bounds",
     "ENCODING_STEPS",
     "EsConfig",
     "EvaluationFailed",
     "EvaluatorFatal",
+    "GaussianSearch",
     "MeanProposer",
     "Problem",
     "ProposerError",
@@ -109,6 +112,11 @@ class Bounds:
             raise ValueError("fraction must be in (0, 1]")
         spread = fraction * self.half_width
         return Bounds(self.center - spread, self.center + spread)
+
+    def sample_uniform(self, rng: Generator, count: int | None = None) -> np.ndarray:
+        """One uniform draw from the box, or ``count`` of them as rows."""
+        shape = self.dimension if count is None else (count, self.dimension)
+        return self.lower + rng.random(shape) * (self.upper - self.lower)
 
 
 def encode_design(x, bounds: Bounds) -> np.ndarray:
@@ -328,14 +336,54 @@ class EsConfig:
 @dataclass
 class RunResult:
     buffer: RecordBuffer
-    states: list[SearchState]
 
     @property
     def best(self) -> ScoredRecord:
         return self.buffer.best_record()
 
 
-def generation_rng(seed: int, generation: int) -> np.random.Generator:
+class AskStrategy(Protocol):
+    """Designs of generation ``buffer.n_generations``, drawn from ``rng``.
+
+    The loop passes ``config`` with its ``init_range`` resolved.
+    """
+
+    def ask(
+        self, buffer: RecordBuffer, rng: Generator, bounds: Bounds, config: EsConfig
+    ) -> np.ndarray: ...
+
+
+@dataclass
+class GaussianSearch:
+    """Gaussian draws with a fixed sigma around a mean.
+
+    The first ``n_initial`` generations draw their means uniformly from the
+    seeding range, a fresh draw each time; later generations ask the
+    proposer, feeding it the curated records.
+    """
+
+    proposer: MeanProposer
+
+    def ask(
+        self, buffer: RecordBuffer, rng: Generator, bounds: Bounds, config: EsConfig
+    ) -> np.ndarray:
+        dimension = bounds.dimension
+        if buffer.n_generations < config.n_initial:
+            mean = config.init_range.sample_uniform(rng)
+        else:
+            records = select_records(buffer, config.selection)
+            mean = np.asarray(self.proposer.propose(records, bounds), dtype=float)
+            if mean.shape != (dimension,):
+                raise ProposerError(
+                    f"proposed mean has shape {mean.shape}, expected ({dimension},)"
+                )
+            mean = bounds.clamp(mean)
+        sigma = config.sigma if config.sigma is not None else 0.1 * bounds.half_width
+        state = SearchState(mean, sigma, buffer.n_generations, config.population_size)
+        return sample_generation(state, bounds, rng)
+
+
+def generation_rng(seed: int, generation: int) -> Generator:
     """Deterministic stream per generation.
 
     Keying the stream on (seed, generation) rather than drawing serially
@@ -373,54 +421,30 @@ def evaluate_designs(
 
 def run_optimization(
     problem: Problem,
-    proposer: MeanProposer,
+    strategy: AskStrategy,
     config: EsConfig,
     *,
     initial_buffer: RecordBuffer | None = None,
     on_generation: Callable[[list[ScoredRecord]], None] | None = None,
 ) -> RunResult:
-    """Run (or continue) the evolutionary loop up to the generation budget.
+    """Run (or continue) the ask-evaluate-tell loop up to the generation budget.
 
-    The first ``n_initial`` generations draw their means uniformly from the
-    seeding range, a fresh draw each time; later generations ask the
-    proposer, feeding it the curated records.  When ``initial_buffer``
-    already holds complete generations the loop continues after them and
+    The seeding range is ``config.init_range``, else the problem's own,
+    else the central half of the box.  When ``initial_buffer`` already
+    holds complete generations the loop continues after them and
     reproduces exactly what an uninterrupted run would have done.
     """
     bounds = problem.bounds
-    dimension = bounds.dimension
-    sigma = config.sigma if config.sigma is not None else 0.1 * bounds.half_width
-    init_range = config.init_range
-    if init_range is None:
-        init_range = getattr(problem, "init_range", None)
-    if init_range is None:
-        init_range = bounds.central(0.5)
-
+    init_range = (
+        config.init_range or getattr(problem, "init_range", None) or bounds.central(0.5)
+    )
+    config = replace(config, init_range=init_range)
     buffer = initial_buffer if initial_buffer is not None else RecordBuffer()
-    states: list[SearchState] = []
     for generation in range(buffer.n_generations, config.budget):
         rng = generation_rng(config.seed, generation)
-        if generation < config.n_initial:
-            span = init_range.upper - init_range.lower
-            mean = init_range.lower + rng.random(dimension) * span
-        else:
-            records = select_records(buffer, config.selection)
-            mean = np.asarray(proposer.propose(records, bounds), dtype=float)
-            if mean.shape != (dimension,):
-                raise ProposerError(
-                    f"proposed mean has shape {mean.shape}, expected ({dimension},)"
-                )
-            mean = bounds.clamp(mean)
-        state = SearchState(
-            mean=mean,
-            sigma=sigma,
-            generation=generation,
-            population_size=config.population_size,
-        )
-        designs = sample_generation(state, bounds, rng)
+        designs = strategy.ask(buffer, rng, bounds, config)
         records = evaluate_designs(problem, designs, generation, config.max_workers)
         buffer.append_generation(records)
-        states.append(state)
         if on_generation is not None:
             on_generation(records)
-    return RunResult(buffer=buffer, states=states)
+    return RunResult(buffer=buffer)

@@ -1,9 +1,9 @@
-"""Real-coded genetic algorithm sharing the search-loop record formats.
+"""Real-coded genetic algorithm: an ask strategy of the shared search loop.
 
 Standard operator stack: elitism, tournament selection, per-component
-blend crossover, additive Gaussian mutation, bound clamping.  Runs use
-the same per-generation seeded streams and the same record buffer as the
-Gaussian search loop, so downstream tooling consumes either.
+blend crossover, additive Gaussian mutation, bound clamping.  Runs go
+through :func:`evolution.run_optimization`, so they share its seeded
+streams, record buffer, callbacks and resume with the Gaussian search.
 """
 
 from __future__ import annotations
@@ -12,18 +12,19 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.random import Generator
 
 from .evolution import (
     Bounds,
+    EsConfig,
     Problem,
     RecordBuffer,
     RunResult,
     ScoredRecord,
-    evaluate_designs,
-    generation_rng,
+    run_optimization,
 )
 
-__all__ = ["GaConfig", "ga_step", "run_ga"]
+__all__ = ["GaConfig", "GaSearch", "ga_step", "run_ga"]
 
 
 @dataclass
@@ -119,6 +120,24 @@ def ga_step(
     return bounds.clamp(next_designs)
 
 
+@dataclass
+class GaSearch:
+    """Ask strategy: a uniform population in the seeding range, then ga_step.
+
+    Of the loop config only ``init_range`` is read; ``cfg`` sets the rest.
+    """
+
+    cfg: GaConfig
+
+    def ask(
+        self, buffer: RecordBuffer, rng: Generator, bounds: Bounds, config: EsConfig
+    ) -> np.ndarray:
+        if buffer.n_generations == 0:
+            return config.init_range.sample_uniform(rng, self.cfg.population_size)
+        parents = buffer.generation(buffer.n_generations - 1)
+        return ga_step(parents, self.cfg, bounds, rng)
+
+
 def run_ga(
     problem: Problem,
     cfg: GaConfig,
@@ -137,24 +156,17 @@ def run_ga(
     """
     if n_steps < 0:
         raise ValueError("n_steps must be non-negative")
-    bounds = problem.bounds
-    if init_range is None:
-        init_range = getattr(problem, "init_range", None)
-    if init_range is None:
-        init_range = bounds.central(0.5)
-
-    buffer = initial_buffer if initial_buffer is not None else RecordBuffer()
-    for generation in range(buffer.n_generations, n_steps + 1):
-        rng = generation_rng(cfg.seed, generation)
-        if generation == 0:
-            span = init_range.upper - init_range.lower
-            designs = init_range.lower + rng.random(
-                (cfg.population_size, bounds.dimension)
-            ) * span
-        else:
-            designs = ga_step(buffer.generation(generation - 1), cfg, bounds, rng)
-        records = evaluate_designs(problem, designs, generation, max_workers)
-        buffer.append_generation(records)
-        if on_generation is not None:
-            on_generation(records)
-    return RunResult(buffer=buffer, states=[])
+    config = EsConfig(
+        budget=n_steps + 1,
+        population_size=cfg.population_size,
+        seed=cfg.seed,
+        init_range=init_range,
+        max_workers=max_workers,
+    )
+    return run_optimization(
+        problem,
+        GaSearch(cfg),
+        config,
+        initial_buffer=initial_buffer,
+        on_generation=on_generation,
+    )

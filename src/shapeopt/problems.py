@@ -88,6 +88,8 @@ class AxisymDragProblem:
     def __post_init__(self) -> None:
         if not 1 <= self.n_modes <= 8:
             raise ValueError("n_modes must lie in [1, 8]")
+        if self.n_samples % 2 == 0:
+            raise ValueError("n_samples must be odd")
         self.bounds = Bounds.uniform(self.n_modes, -COEFF_BOUND, COEFF_BOUND)
         # Case-specific seeding: positive leading coefficients integrate to
         # negative radii (inside-out bodies), so initial means center on the
@@ -167,6 +169,8 @@ class AirfoilProblem:
             raise ValueError("free_indices must be distinct and match n_free_points")
         if any(i not in range(af.N_CONTROL_POINTS) for i in self.free_indices):
             raise ValueError("free_indices out of range")
+        if not self.handle_fraction > 0.0:
+            raise ValueError("handle_fraction must be positive")
         self.bounds = Bounds.uniform(3 * self.n_free_points, -1.0, 1.0)
         self.objective = (
             "maximize the shaped reward of the time-averaged lift-to-drag"

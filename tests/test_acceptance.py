@@ -27,6 +27,7 @@ from shapeopt.cli import main
 from shapeopt.evolution import (
     Bounds,
     EsConfig,
+    GaussianSearch,
     RecordBuffer,
     ScoredRecord,
     SelectionConfig,
@@ -49,7 +50,7 @@ def best_drag_ratio(n_modes: int, seed: int, n_initial: int) -> float:
     cfg = EsConfig(
         budget=40, population_size=8, n_initial=n_initial, seed=seed
     )
-    result = run_optimization(problem, MockProposer(), cfg)
+    result = run_optimization(problem, GaussianSearch(MockProposer()), cfg)
     return -result.best.score
 
 

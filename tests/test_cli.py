@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shapeopt import cli
 from shapeopt.cli import (
@@ -12,12 +14,16 @@ from shapeopt.cli import (
     EXIT_EVALUATOR,
     EXIT_OK,
     EXIT_PROPOSER,
+    OPTIMIZERS,
+    PROBLEMS,
     ConfigError,
+    RecordWriter,
     load_records,
     main,
     parse_config,
 )
-from shapeopt.problems import AirfoilProblem
+from shapeopt.ga import GaConfig, run_ga
+from shapeopt.problems import AirfoilProblem, AxisymDragProblem, QuadraticProblem
 
 ANALYTIC = {
     "problem": "analytic_test",
@@ -40,6 +46,10 @@ AXISYM_TINY = {
     "n_samples": 201,
     "n_elements": 8,
 }
+
+
+AIRFOIL = {"problem": "airfoil", "evaluator_command": ["solver"]}
+LLM_BLOCK = {"endpoint": "http://x/v1", "model": "m"}
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -88,6 +98,17 @@ def test_parse_config_materializes_defaults():
         {"mystery_key": 1},
         {"dimension": 0},
         {"target": [1.0]},  # wrong length for dimension 3
+        {"seeds": [-1]},
+        {"optimizer": "ga", "ga": {"crossover_rate": 2.0}},
+        {"optimizer": "ga", "ga": {"blend_alpha": 0}},
+        {"optimizer": "ga", "ga": {"mutation_sigma": "abc"}},
+        {"optimizer": "ga", "ga": []},
+        {"optimizer": "llm", "llm": {**LLM_BLOCK, "timeout": "abc"}},
+        {**AIRFOIL, "reynolds": "abc"},
+        {**AIRFOIL, "reynolds": "100"},  # numeric keys take JSON numbers only
+        {**AIRFOIL, "free_indices": [True]},
+        {**AIRFOIL, "handle_fraction": True},
+        {**AIRFOIL, "handle_fraction": 0},
     ],
 )
 def test_parse_config_rejects(overrides):
@@ -158,6 +179,60 @@ def test_parse_config_ga_block():
     doc["ga"] = {"nonsense": 1}
     with pytest.raises(ConfigError, match="unknown ga"):
         parse_config(doc)
+
+
+# Integers stay small apart from two that overflow: parse_config builds the
+# problem, and its arrays grow with "dimension".
+JSON_SCALARS = (
+    st.none() | st.booleans() | st.integers(-3, 1000) | st.sampled_from([2**63, 10**400])
+    | st.floats() | st.text(max_size=4) | st.sampled_from(PROBLEMS + OPTIMIZERS)
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+SECTION_KEYS = {
+    "": [
+        "budget", "population_size", "sigma", "n_ini", "top_generations",
+        "recent_generations", "designs_per_generation", "seeds", "output_dir",
+        "max_workers", "K", "n_samples", "n_elements", "n_F", "free_indices",
+        "samples_per_segment", "handle_fraction", "evaluator_command", "reynolds",
+        "baseline_ratio", "evaluator_timeout", "dimension", "target",
+    ],
+    "llm": ["endpoint", "model", "max_retries", "timeout", "api_key_env"],
+    "ga": [
+        "tournament_size", "crossover_rate", "blend_alpha", "mutation_rate",
+        "mutation_sigma", "elite_count",
+    ],
+}
+
+
+def section_docs(block):
+    names = SECTION_KEYS[block] + ["mystery"]
+    return st.dictionaries(st.sampled_from(names), JSON_VALUES, max_size=len(names))
+
+
+@st.composite
+def config_docs(draw):
+    doc = draw(section_docs(""))
+    doc["problem"] = draw(st.sampled_from(PROBLEMS) | JSON_VALUES)
+    doc["optimizer"] = draw(st.sampled_from(OPTIMIZERS) | JSON_VALUES)
+    for block in ("llm", "ga"):
+        if draw(st.booleans()):
+            doc[block] = draw(section_docs(block) | JSON_VALUES)
+    return doc
+
+
+@settings(max_examples=400, deadline=None)
+@given(doc=config_docs())
+def test_parse_config_returns_settings_or_config_error(doc):
+    try:
+        parsed = parse_config(doc)
+    except ConfigError:
+        return
+    assert parsed.problem in PROBLEMS and parsed.optimizer in OPTIMIZERS
 
 
 def test_load_config_errors(tmp_path):
@@ -272,6 +347,72 @@ def test_ga_run_resume_matches(tmp_path):
     records.write_text("\n".join(records.read_text().splitlines()[:10]) + "\n")
     run_cli("run", "--config", config, "--out", str(tmp_path / "cut"), "--resume")
     assert records.read_bytes() == reference
+
+
+def test_bad_config_value_exits_2_before_writing(tmp_path, capsys):
+    doc = {**ANALYTIC, "optimizer": "ga", "ga": {"crossover_rate": 2.0}}
+    config = write_config(tmp_path, doc)
+    out = tmp_path / "runs"
+    assert run_cli("run", "--config", config, "--out", str(out)) == EXIT_CONFIG
+    assert "crossover_rate" in capsys.readouterr().err
+    assert not (out / "seed_0").exists()
+
+
+def test_resume_after_torn_write_matches_full_run(tmp_path):
+    config = write_config(tmp_path, ANALYTIC)
+    run_cli("run", "--config", config, "--out", str(tmp_path / "full"))
+    reference = (tmp_path / "full" / "seed_0" / "records.jsonl").read_bytes()
+
+    run_cli("run", "--config", config, "--out", str(tmp_path / "torn"))
+    records = tmp_path / "torn" / "seed_0" / "records.jsonl"
+    lines = reference.split(b"\n")
+    # two complete generations, then a kill halfway through the next line
+    records.write_bytes(b"\n".join(lines[:6]) + b"\n" + lines[6][: len(lines[6]) // 2])
+    assert (
+        run_cli("run", "--config", config, "--out", str(tmp_path / "torn"), "--resume")
+        == EXIT_OK
+    )
+    assert records.read_bytes() == reference
+
+
+def test_ga_cli_matches_library_loop(tmp_path):
+    budget = 5
+    ga = {"elite_count": 2, "mutation_rate": 0.5}
+    doc = {**ANALYTIC, "optimizer": "ga", "budget": budget, "seeds": [4], "ga": ga}
+    config = write_config(tmp_path, doc)
+    run_cli("run", "--config", config, "--out", str(tmp_path / "cli"))
+
+    problem = QuadraticProblem(dimension=2)
+    library = tmp_path / "library.jsonl"
+    cfg = GaConfig(population_size=3, seed=4, **ga)
+    run_ga(problem, cfg, budget - 1, on_generation=RecordWriter(library, problem.bounds))
+    assert (tmp_path / "cli" / "seed_4" / "records.jsonl").read_bytes() == (
+        library.read_bytes()
+    )
+
+
+def test_best_design_is_solved_once_after_the_loop(tmp_path, monkeypatch):
+    calls = []
+    solve = AxisymDragProblem.evaluate_detail
+    loop = cli.run_optimization
+
+    def count_after_loop(*args, **kwargs):
+        result = loop(*args, **kwargs)
+
+        def counted(problem, x):
+            calls.append(x)
+            return solve(problem, x)
+
+        monkeypatch.setattr(AxisymDragProblem, "evaluate_detail", counted)
+        return result
+
+    monkeypatch.setattr(cli, "run_optimization", count_after_loop)
+    config = write_config(tmp_path, {**AXISYM_TINY, "n_elements": 16})
+    assert run_cli("run", "--config", config, "--out", str(tmp_path / "ax")) == EXIT_OK
+    run_dir = tmp_path / "ax" / "seed_0"
+    assert (run_dir / "best_profile.csv").exists()
+    assert "best_normalized_drag" in json.loads((run_dir / "summary.json").read_text())
+    assert len(calls) == 1
 
 
 # ------------------------------------------------------------------ records io

@@ -9,6 +9,7 @@ from shapeopt.evolution import (
     Bounds,
     EsConfig,
     EvaluationFailed,
+    GaussianSearch,
     ProposerError,
     RecordBuffer,
     ScoredRecord,
@@ -299,7 +300,7 @@ def test_initialization_only():
     problem = QuadProblem()
     proposer = CentroidProposer()
     cfg = EsConfig(budget=2, population_size=5, n_initial=2, seed=0)
-    result = run_optimization(problem, proposer, cfg)
+    result = run_optimization(problem, GaussianSearch(proposer), cfg)
     assert len(result.buffer) == 10
     assert proposer.calls == 0
 
@@ -307,7 +308,7 @@ def test_initialization_only():
 def test_convergence_with_centroid_proposer():
     problem = QuadProblem()
     cfg = EsConfig(budget=30, population_size=8, seed=0)
-    result = run_optimization(problem, CentroidProposer(), cfg)
+    result = run_optimization(problem, GaussianSearch(CentroidProposer()), cfg)
     sigma = 0.1 * problem.bounds.half_width[0]
     assert np.all(np.abs(result.best.design - problem.center) <= 2 * sigma)
 
@@ -315,8 +316,8 @@ def test_convergence_with_centroid_proposer():
 def test_bit_reproducibility():
     problem = QuadProblem()
     cfg = EsConfig(budget=12, population_size=4, seed=3)
-    a = run_optimization(problem, CentroidProposer(), cfg)
-    b = run_optimization(problem, CentroidProposer(), cfg)
+    a = run_optimization(problem, GaussianSearch(CentroidProposer()), cfg)
+    b = run_optimization(problem, GaussianSearch(CentroidProposer()), cfg)
     for ra, rb in zip(a.buffer.all_records(), b.buffer.all_records()):
         assert ra.score == rb.score
         assert np.array_equal(ra.design, rb.design)
@@ -325,12 +326,14 @@ def test_bit_reproducibility():
 def test_resume_matches_uninterrupted():
     problem = QuadProblem()
     cfg = EsConfig(budget=14, population_size=4, seed=5)
-    full = run_optimization(problem, CentroidProposer(), cfg)
+    full = run_optimization(problem, GaussianSearch(CentroidProposer()), cfg)
     part = run_optimization(
-        problem, CentroidProposer(), EsConfig(budget=6, population_size=4, seed=5)
+        problem,
+        GaussianSearch(CentroidProposer()),
+        EsConfig(budget=6, population_size=4, seed=5),
     )
     resumed = run_optimization(
-        problem, CentroidProposer(), cfg, initial_buffer=part.buffer
+        problem, GaussianSearch(CentroidProposer()), cfg, initial_buffer=part.buffer
     )
     for ra, rb in zip(full.buffer.all_records(), resumed.buffer.all_records()):
         assert ra.score == rb.score and np.array_equal(ra.design, rb.design)
@@ -344,7 +347,7 @@ class FailingProblem(QuadProblem):
 def test_failing_evaluator_records_penalty():
     problem = FailingProblem()
     cfg = EsConfig(budget=4, population_size=3, seed=0)
-    result = run_optimization(problem, CentroidProposer(), cfg)
+    result = run_optimization(problem, GaussianSearch(CentroidProposer()), cfg)
     records = result.buffer.all_records()
     assert len(records) == 12
     assert all(r.score == problem.penalty_score for r in records)
@@ -362,7 +365,7 @@ def test_parallel_evaluation_matches_serial():
 def test_best_so_far_monotone():
     problem = QuadProblem()
     cfg = EsConfig(budget=20, population_size=4, seed=9)
-    result = run_optimization(problem, CentroidProposer(), cfg)
+    result = run_optimization(problem, GaussianSearch(CentroidProposer()), cfg)
     bests = [result.buffer.best_in(g).score for g in range(20)]
     assert np.all(np.diff(np.maximum.accumulate(bests)) >= 0)
 
@@ -376,7 +379,7 @@ def test_bad_proposal_shape_aborts():
     with pytest.raises(ProposerError):
         run_optimization(
             QuadProblem(),
-            WrongShapeProposer(),
+            GaussianSearch(WrongShapeProposer()),
             EsConfig(budget=4, population_size=2, seed=0),
         )
 
@@ -388,7 +391,7 @@ def test_proposed_mean_is_clamped():
 
     result = run_optimization(
         QuadProblem(),
-        HugeProposer(),
+        GaussianSearch(HugeProposer()),
         EsConfig(budget=3, population_size=4, seed=0),
     )
     for record in result.buffer.generation(2):
