@@ -16,6 +16,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
+from numpy.polynomial.legendre import legval
 
 VOLUME_TARGET = 4.0 * np.pi / 3.0
 AREA_TARGET = 4.0 * np.pi
@@ -111,22 +112,16 @@ class BodyProfile:
 def tangent_angle(coeffs, s):
     """Tangent angle ``phi(s) = sum_k A_k P_{2k-1}(s)``.
 
-    The odd-degree Legendre polynomials are evaluated with the three-term
-    recurrence, which is stable on ``[-1, 1]``.  ``s`` may be a scalar or
-    an array.
+    The series is evaluated by ``numpy.polynomial.legendre.legval`` with
+    the even-degree coefficients zero.  ``s`` may be a scalar or an array.
     """
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.ndim != 1 or coeffs.size == 0:
         raise ValueError("coefficients must be a non-empty 1-D vector")
+    series = np.zeros(2 * coeffs.size)
+    series[1::2] = coeffs
     s_arr = np.asarray(s, dtype=float)
-    p_prev = np.ones_like(s_arr)  # P_0
-    p_cur = s_arr.copy()  # P_1
-    total = coeffs[0] * p_cur
-    for degree in range(2, 2 * coeffs.size):
-        p_next = ((2 * degree - 1) * s_arr * p_cur - (degree - 1) * p_prev) / degree
-        p_prev, p_cur = p_cur, p_next
-        if degree % 2 == 1:
-            total = total + coeffs[(degree - 1) // 2] * p_cur
+    total = legval(s_arr, series)
     if s_arr.ndim == 0:
         return float(total)
     return total

@@ -312,35 +312,55 @@ class RecordWriter:
                 self.index += 1
 
 
+def _read_record(entry, dimension: int | None, where: str) -> ScoredRecord:
+    """One parsed records line as a ScoredRecord, or a ConfigError naming it."""
+    _require(isinstance(entry, dict), f"{where} is not a JSON object")
+    g = entry.get("generation")
+    _require(_fits("integer", g) and g >= 0, f"{where} lacks a generation index")
+    design = entry.get("design")
+    _require(
+        _fits("number list", design)
+        and len(design) > 0
+        and dimension in (None, len(design)),
+        f"{where}: design must be a list of {dimension or 'one or more'} numbers",
+    )
+    _require(_fits("number", entry.get("score")), f"{where}: score must be a number")
+    try:
+        return ScoredRecord(
+            np.array(design, dtype=float), entry["score"], g, entry.get("status")
+        )
+    except (ValueError, OverflowError) as exc:  # bad status, or an int beyond float
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
 def load_records(
-    path: Path, population_size: int
+    path: Path, population_size: int, dimension: int | None = None
 ) -> tuple[RecordBuffer, int, bool]:
     """Rebuild the buffer from disk, dropping a partial trailing generation.
 
     A final line without its newline is a write cut short by a kill and is
-    dropped too; any other malformed line is an error.  Returns (buffer,
-    records kept, whether the file was rewritten).
+    dropped too; any other malformed line, or a design whose length is not
+    ``dimension`` (when given), is an error.  Returns (buffer, records
+    kept, whether the file was rewritten).
     """
     lines = path.read_text(encoding="utf-8").split("\n")
     torn = lines.pop() != ""
     lines = [line for line in lines if line.strip()]
-    parsed = []
+    generations: list[list[ScoredRecord]] = []
     for n, line in enumerate(lines):
+        where = f"{path} line {n + 1}"
         try:
-            parsed.append(json.loads(line))
+            entry = json.loads(line)
         except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path} line {n + 1} is not valid JSON: {exc}") from exc
-    generations: list[list[dict]] = []
-    for n, entry in enumerate(parsed):
-        g = entry.get("generation")
-        _require(isinstance(g, int), f"{path} line {n + 1} lacks a generation index")
-        if g == len(generations):
+            raise ConfigError(f"{where} is not valid JSON: {exc}") from exc
+        record = _read_record(entry, dimension, where)
+        if record.generation == len(generations):
             generations.append([])
         _require(
-            g == len(generations) - 1,
-            f"{path} line {n + 1}: generation {g} out of order",
+            record.generation == len(generations) - 1,
+            f"{where}: generation {record.generation} out of order",
         )
-        generations[g].append(entry)
+        generations[-1].append(record)
     for body in generations[:-1]:
         _require(
             len(body) == population_size,
@@ -352,20 +372,9 @@ def load_records(
         generations.pop()
         dropped = True
     buffer = RecordBuffer()
-    kept = 0
-    for g, body in enumerate(generations):
-        buffer.append_generation(
-            [
-                ScoredRecord(
-                    design=np.array(entry["design"], dtype=float),
-                    score=float(entry["score"]),
-                    generation=g,
-                    status=str(entry["status"]),
-                )
-                for entry in body
-            ]
-        )
-        kept += len(body)
+    for body in generations:
+        buffer.append_generation(body)
+    kept = len(buffer)
     if dropped:
         with open(path, "w", encoding="utf-8") as handle:
             handle.writelines(line + "\n" for line in lines[:kept])
@@ -424,6 +433,7 @@ def run_single_seed(settings: RunSettings, seed: int, resume: bool) -> Path:
     run_dir = Path(settings.output_dir) / f"seed_{seed}"
     run_dir.mkdir(parents=True, exist_ok=True)
     records_path = run_dir / "records.jsonl"
+    problem = make_problem(settings)
 
     buffer = RecordBuffer()
     kept = 0
@@ -432,13 +442,14 @@ def run_single_seed(settings: RunSettings, seed: int, resume: bool) -> Path:
             raise ConfigError(
                 f"{records_path} already holds records; pass --resume to continue"
             )
-        buffer, kept, _ = load_records(records_path, settings.population_size)
+        buffer, kept, _ = load_records(
+            records_path, settings.population_size, problem.bounds.dimension
+        )
 
     with open(run_dir / "config.json", "w", encoding="utf-8") as handle:
         json.dump(settings.snapshot(seed), handle, indent=2)
         handle.write("\n")
 
-    problem = make_problem(settings)
     writer = RecordWriter(records_path, problem.bounds, start_index=kept)
     result = run_optimization(
         problem,

@@ -3,11 +3,14 @@
 The body surface is a meridian curve revolved about the z axis.  A ring of
 point forces is integrated in closed form over the azimuth, which turns
 the single-layer surface integral into a line integral along the meridian
-with complete elliptic integrals in the kernel.  Piecewise-constant force
-densities are collocated at element midpoints; the self-element log
-singularity is subtracted and integrated analytically.  The dense system
-is solved directly, and drag is reported both raw (unit viscosity, unit
-stream speed) and normalized by the Stokes drag of the unit sphere.
+with complete elliptic integrals in the kernel.  ``scipy.special`` supplies
+them: K by ``ellipkm1`` from the exact ``1 - m``, which keeps the kernel's
+log singularity down to round-off separations, and E by ``ellipe``.
+Piecewise-constant force densities are collocated at element midpoints;
+the self-element log singularity is subtracted and integrated
+analytically.  The dense system is solved directly, and drag is reported
+both raw (unit viscosity, unit stream speed) and normalized by the Stokes
+drag of the unit sphere.
 
 Conventions: the kernel ``ring_stokeslet`` excludes the ring-radius factor
 of the surface measure, so ``u(x) = 1/(8 pi) * integral M(x, x0) q(x0)
@@ -25,6 +28,7 @@ from pathlib import Path
 
 import numpy as np
 from scipy.interpolate import CubicSpline
+from scipy.special import ellipe, ellipk, ellipkm1
 
 from .axisym import BodyProfile
 
@@ -61,36 +65,13 @@ class MeshError(ValueError):
     """The meridian cannot be meshed into usable boundary elements."""
 
 
-def _agm_ke(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Complete elliptic integrals K(m), E(m) for m in [0, 1) by the AGM.
-
-    The arithmetic-geometric mean converges quadratically; the E series
-    accumulates 2^(n-1) c_n^2 alongside it.  Parameter convention: m is
-    the squared modulus.
-    """
-    a = np.ones_like(m)
-    b = np.sqrt(1.0 - m)
-    c_sum = 0.5 * m
-    power = 0.5
-    for _ in range(60):
-        c = 0.5 * (a - b)
-        if np.all(c <= 1e-17):
-            break
-        power *= 2.0
-        c_sum = c_sum + power * c * c
-        a, b = 0.5 * (a + b), np.sqrt(a * b)
-    k = np.pi / (2.0 * a)
-    e = k * (1.0 - c_sum)
-    return k, e
-
-
 def complete_elliptic_k(m):
     """K(m) with the squared-modulus convention; diverges as m -> 1."""
     m_arr = np.asarray(m, dtype=float)
     if np.any(m_arr < 0.0) or np.any(m_arr >= 1.0):
         raise ValueError("K(m) requires 0 <= m < 1")
-    k, _ = _agm_ke(np.atleast_1d(m_arr))
-    return float(k[0]) if m_arr.ndim == 0 else k.reshape(m_arr.shape)
+    k = ellipk(m_arr)
+    return float(k) if m_arr.ndim == 0 else k
 
 
 def complete_elliptic_e(m):
@@ -98,13 +79,8 @@ def complete_elliptic_e(m):
     m_arr = np.asarray(m, dtype=float)
     if np.any(m_arr < 0.0) or np.any(m_arr > 1.0):
         raise ValueError("E(m) requires 0 <= m <= 1")
-    flat = np.atleast_1d(m_arr).astype(float)
-    out = np.ones_like(flat)
-    interior = flat < 1.0
-    if np.any(interior):
-        _, e = _agm_ke(flat[interior])
-        out[interior] = e
-    return float(out[0]) if m_arr.ndim == 0 else out.reshape(m_arr.shape)
+    e = ellipe(m_arr)
+    return float(e) if m_arr.ndim == 0 else e
 
 
 # Fixed Gauss rule on [0, pi/2] for the small-m fallback branch.
@@ -134,8 +110,9 @@ def _ring_integrals(d_big, dsq, m):
         db = d_big[big]
         dsqb = dsq[big]
         dcubed = db * db * db
-        k, e = _agm_ke(mb)
         one_m = dsqb / (db * db)  # exact 1 - m, no cancellation
+        k = ellipkm1(one_m)  # K from 1 - m keeps its digits as m -> 1
+        e = ellipe(mb)
         e_om = e / one_m
         i10[big] = 4.0 * k / db
         i11[big] = 4.0 * (2.0 * (k - e) / mb - k) / db
@@ -230,10 +207,6 @@ class BoundaryMesh:
     @property
     def total_arclength(self) -> float:
         return float(self.element_bounds[-1])
-
-    def point_at(self, arc):
-        """Meridian coordinates at arclength positions."""
-        return self.r_of(arc), self.z_of(arc)
 
 
 def mesh_from_meridian(r, z, arclength, n_elements: int) -> BoundaryMesh:

@@ -375,6 +375,26 @@ def test_resume_after_torn_write_matches_full_run(tmp_path):
     assert records.read_bytes() == reference
 
 
+def test_resume_with_wrong_dimension_exits_2_and_keeps_bytes(tmp_path, capsys):
+    config = write_config(tmp_path, {**ANALYTIC, "dimension": 3})
+    out = str(tmp_path / "run")
+    assert run_cli("run", "--config", config, "--out", out) == EXIT_OK
+    run_dir = tmp_path / "run" / "seed_0"
+    records = run_dir / "records.jsonl"
+    cut = []
+    for line in records.read_text().splitlines():
+        entry = json.loads(line)
+        entry["design"] = entry["design"][:2]
+        cut.append(json.dumps(entry) + "\n")
+    records.write_text("".join(cut))
+    before = records.read_bytes()
+    (run_dir / "config.json").unlink()
+    assert run_cli("run", "--config", config, "--out", out, "--resume") == EXIT_CONFIG
+    assert "design must be a list of 3 numbers" in capsys.readouterr().err
+    assert records.read_bytes() == before
+    assert not (run_dir / "config.json").exists()
+
+
 def test_ga_cli_matches_library_loop(tmp_path):
     budget = 5
     ga = {"elite_count": 2, "mutation_rate": 0.5}
@@ -451,6 +471,18 @@ def test_load_records_rejects_corruption(tmp_path):
     )
     with pytest.raises(ConfigError, match="interior generation"):
         load_records(path, 2)
+    for line in (
+        "[1, 2]",
+        json.dumps({k: v for k, v in good.items() if k != "design"}),
+        json.dumps({**good, "status": "weird"}),
+        json.dumps({**good, "score": "abc"}),
+        json.dumps({**good, "score": None}),
+        json.dumps({**good, "design": "ab"}),
+        json.dumps({**good, "score": 10**400}),
+    ):
+        path.write_text(line + "\n")
+        with pytest.raises(ConfigError, match="line 1"):
+            load_records(path, 1)
 
 
 # --------------------------------------------------------------------- compare

@@ -105,6 +105,28 @@ def test_axisym_score_improves_toward_known_optimum():
     assert stretched > sphere_score
 
 
+# Normalized drags of a fixed design panel at 120 elements, frozen from the
+# solver so that a change to any numerical layer shows at the 12th digit.
+DRAG_PANEL = [
+    ("fixed_volume", [-1.5707963267948966, 0.0], 1.000028558457574),
+    ("fixed_volume", [-1.4, 0.3], 1.0033013633903736),
+    ("fixed_volume", [-1.8, -0.2], 1.0072170202801716),
+    ("fixed_area", [-1.5, 0.2, 0.05, 0.0, 0.0], 1.0051481900100623),
+    ("fixed_area", [-1.6, -0.1, 0.1, -0.05, 0.02], 0.9941286077157352),
+]
+
+
+@pytest.mark.parametrize("kind, design, drag", DRAG_PANEL)
+def test_axisym_panel_drags_are_pinned(kind, design, drag):
+    problem = AxisymDragProblem(
+        n_modes=len(design),
+        constraint=getattr(GeometricConstraint, kind)(),
+        n_elements=120,
+    )
+    _, _, result = problem.evaluate_detail(np.array(design))
+    assert result.normalized == pytest.approx(drag, rel=1e-12, abs=0.0)
+
+
 # ---------------------------------------------------------- airfoil adapter
 
 def stub_evaluator(tmp_path, body):
