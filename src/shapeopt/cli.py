@@ -333,15 +333,13 @@ def _read_record(entry, dimension: int | None, where: str) -> ScoredRecord:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
-def load_records(
-    path: Path, population_size: int, dimension: int | None = None
-) -> tuple[RecordBuffer, int, bool]:
-    """Rebuild the buffer from disk, dropping a partial trailing generation.
+def _parse_records(
+    path: Path, population_size: int, dimension: int | None
+) -> tuple[RecordBuffer, list[str], bool]:
+    """Check every line of a records file without writing to it.
 
-    A final line without its newline is a write cut short by a kill and is
-    dropped too; any other malformed line, or a design whose length is not
-    ``dimension`` (when given), is an error.  Returns (buffer, records
-    kept, whether the file was rewritten).
+    Returns the complete generations, the non-blank lines, and whether a
+    torn last line or a partial last generation must be dropped.
     """
     lines = path.read_text(encoding="utf-8").split("\n")
     torn = lines.pop() != ""
@@ -374,11 +372,60 @@ def load_records(
     buffer = RecordBuffer()
     for body in generations:
         buffer.append_generation(body)
+    return buffer, lines, dropped
+
+
+def load_records(
+    path: Path, population_size: int, dimension: int | None = None
+) -> tuple[RecordBuffer, int, bool]:
+    """Rebuild the buffer from disk, dropping a partial trailing generation.
+
+    A final line without its newline is a write cut short by a kill and is
+    dropped too; any other malformed line, or a design whose length is not
+    ``dimension`` (when given), is an error.  Returns (buffer, records
+    kept, whether the file was rewritten).
+    """
+    buffer, lines, dropped = _parse_records(path, population_size, dimension)
     kept = len(buffer)
     if dropped:
         with open(path, "w", encoding="utf-8") as handle:
             handle.writelines(line + "\n" for line in lines[:kept])
     return buffer, kept, dropped
+
+
+# Keys a resumed run may change: they extend the run or do not touch its records.
+_RESUMABLE_KEYS = ("budget", "output_dir", "max_workers")
+
+
+def _check_same_run(
+    run_dir: Path, snapshot: dict, population_size: int, dimension: int
+) -> None:
+    """Refuse to resume records that a different config wrote.
+
+    The stored ``config.json`` must equal ``snapshot`` except in
+    ``_RESUMABLE_KEYS``.  Nothing is written either way.
+    """
+    path = run_dir / "config.json"
+    try:
+        stored = json.loads(path.read_text(encoding="utf-8"))
+        _require(isinstance(stored, dict), "not a JSON object")
+    except (OSError, ValueError) as exc:
+        # A malformed records line is reported before the missing config.
+        _parse_records(run_dir / "records.jsonl", population_size, dimension)
+        raise ConfigError(
+            f"cannot resume: {path} must hold the config that wrote the records ({exc})"
+        ) from exc
+    current = json.loads(json.dumps(snapshot))
+    changed = sorted(
+        key
+        for key in stored.keys() | current.keys()
+        if key not in _RESUMABLE_KEYS and stored.get(key) != current.get(key)
+    )
+    _require(
+        not changed,
+        f"cannot resume: this config differs from {path} in {', '.join(changed)};"
+        f" a resumed run may change only {', '.join(_RESUMABLE_KEYS)}",
+    )
 
 
 def write_trajectory(path: Path, buffer: RecordBuffer) -> None:
@@ -442,6 +489,10 @@ def run_single_seed(settings: RunSettings, seed: int, resume: bool) -> Path:
             raise ConfigError(
                 f"{records_path} already holds records; pass --resume to continue"
             )
+        _check_same_run(
+            run_dir, settings.snapshot(seed), settings.population_size,
+            problem.bounds.dimension,
+        )
         buffer, kept, _ = load_records(
             records_path, settings.population_size, problem.bounds.dimension
         )

@@ -8,9 +8,17 @@ them: K by ``ellipkm1`` from the exact ``1 - m``, which keeps the kernel's
 log singularity down to round-off separations, and E by ``ellipe``.
 Piecewise-constant force densities are collocated at element midpoints;
 the self-element log singularity is subtracted and integrated
-analytically.  The dense system is solved directly, and drag is reported
-both raw (unit viscosity, unit stream speed) and normalized by the Stokes
-drag of the unit sphere.
+analytically, and element pairs ``_FAR_GAP`` or more elements apart use
+half the Gauss order of the nearer ones.  The dense system is solved
+directly, and drag is reported both raw (unit viscosity, unit stream
+speed) and normalized by the Stokes drag of the unit sphere.
+
+Meshes of the fore-aft symmetric profiles (``profile_to_mesh``) are
+marked mirrored.  In an axial stream ``q_z`` is then even and ``q_r`` odd
+under the mirror, so only the first half of the collocation rows is
+assembled, mirror-image elements are folded into one unknown, and ``n``
+unknowns are solved instead of ``2n``.  ``mesh_from_meridian`` meshes any
+meridian and keeps the full system.
 
 Conventions: the kernel ``ring_stokeslet`` excludes the ring-radius factor
 of the surface measure, so ``u(x) = 1/(8 pi) * integral M(x, x0) q(x0)
@@ -18,17 +26,22 @@ r0 dl0`` with the meridian arclength ``l0``.  Solving ``u = e_z`` at the
 collocation points makes ``q`` the surface traction of a body held fixed
 in a unit stream, up to a constant-pressure gauge that carries no net
 force; the unit sphere then integrates to a drag of exactly ``6 pi``.
+That gauge traction, a multiple of the normal, has the opposite mirror
+parity, so the folded system does not contain it: it stays well
+conditioned, and its tractions carry no gauge component.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
+from numpy.polynomial.polynomial import polyvander
 from scipy.interpolate import CubicSpline
-from scipy.special import ellipe, ellipk, ellipkm1
+from scipy.special import binom, ellipe, ellipk, ellipkm1
 
 from .axisym import BodyProfile
 
@@ -39,9 +52,9 @@ MAX_ELEMENTS = 400
 
 # Elliptic-integral evaluation of the azimuthal integrals loses digits to
 # cancellation as the modulus m -> 0; below this threshold the integrals
-# are done by direct Gauss quadrature of the (then smooth) integrand.
+# are summed as power series in m, truncated where m^k is below round-off.
 _SMALL_M = 0.05
-_SMALL_M_NODES = 24
+_SMALL_M_TERMS = 16
 
 __all__ = [
     "BoundaryMesh",
@@ -83,33 +96,43 @@ def complete_elliptic_e(m):
     return float(e) if m_arr.ndim == 0 else e
 
 
-# Fixed Gauss rule on [0, pi/2] for the small-m fallback branch.
-_u_nodes, _u_weights = np.polynomial.legendre.leggauss(_SMALL_M_NODES)
-_U_NODES = 0.25 * np.pi * (_u_nodes + 1.0)
-_U_WEIGHTS = 0.25 * np.pi * _u_weights
-_COS2_U = np.cos(_U_NODES) ** 2
-_COSPHI_U = 2.0 * _COS2_U - 1.0
+# Series coefficients for the small-m branch, one column per reduced
+# integral I10, I11, I30, I31.  Expanding (1 - m cos^2 u)^(-p/2) gives
+# int_0^{pi/2} cos^(2j) u / (1 - m cos^2 u)^(p/2) du
+#     = sum_k binom(k + p/2 - 1, k) W_{k+j} m^k,
+# with the Wallis integrals W_n = int_0^{pi/2} cos^(2n) u du, and
+# cos(phi) = 2 cos^2 u - 1 has the moments 2 W_{k+1} - W_k = k W_k / (k + 1).
+_POWERS = np.arange(_SMALL_M_TERMS)
+_WALLIS = 0.5 * np.pi * binom(_POWERS - 0.5, _POWERS)
+_COS_MOMENTS = _WALLIS * _POWERS / (_POWERS + 1)
+_SMALL_M_SERIES = np.stack(
+    [
+        binom(_POWERS - 0.5, _POWERS) * _WALLIS,
+        binom(_POWERS - 0.5, _POWERS) * _COS_MOMENTS,
+        binom(_POWERS + 0.5, _POWERS) * _WALLIS,
+        binom(_POWERS + 0.5, _POWERS) * _COS_MOMENTS,
+    ],
+    axis=1,
+)
 
 
 def _ring_integrals(d_big, dsq, m):
     """Azimuthal integrals I_pq = int cos^q(phi) / R^p dphi, p in {1, 3}.
 
     With R^2 = D^2 (1 - m cos^2 u) the integrals reduce to complete
-    elliptic integrals.  The reduced forms divide by m and m^2, so for
-    small m they are evaluated by quadrature instead.
+    elliptic integrals.  The reduced forms divide by m, so for small m
+    they are summed as power series instead.
     """
     big = m > _SMALL_M
     i10 = np.empty_like(m)
     i11 = np.empty_like(m)
     i30 = np.empty_like(m)
     i31 = np.empty_like(m)
-    i32 = np.empty_like(m)
 
     if np.any(big):
         mb = m[big]
         db = d_big[big]
         dsqb = dsq[big]
-        dcubed = db * db * db
         one_m = dsqb / (db * db)  # exact 1 - m, no cancellation
         k = ellipkm1(one_m)  # K from 1 - m keeps its digits as m -> 1
         e = ellipe(mb)
@@ -117,32 +140,19 @@ def _ring_integrals(d_big, dsq, m):
         i10[big] = 4.0 * k / db
         i11[big] = 4.0 * (2.0 * (k - e) / mb - k) / db
         i30[big] = 4.0 * e / (db * dsqb)
-        i31[big] = 4.0 * (2.0 * (e_om - k) / mb - e_om) / dcubed
-        i32[big] = (
-            4.0
-            * (
-                4.0 * (e_om - 2.0 * k + e) / (mb * mb)
-                - 4.0 * (e_om - k) / mb
-                + e_om
-            )
-            / dcubed
-        )
+        i31[big] = 4.0 * (2.0 * (e_om - k) / mb - e_om) / (db * db * db)
 
     small = ~big
     if np.any(small):
-        ms = m[small][..., None]
         ds = d_big[small]
         dcubed = ds * ds * ds
-        base = 1.0 - ms * _COS2_U
-        inv1 = 1.0 / np.sqrt(base)
-        inv3 = inv1 / base
-        i10[small] = 4.0 * (inv1 @ _U_WEIGHTS) / ds
-        i11[small] = 4.0 * ((inv1 * _COSPHI_U) @ _U_WEIGHTS) / ds
-        i30[small] = 4.0 * (inv3 @ _U_WEIGHTS) / dcubed
-        i31[small] = 4.0 * ((inv3 * _COSPHI_U) @ _U_WEIGHTS) / dcubed
-        i32[small] = 4.0 * ((inv3 * _COSPHI_U ** 2) @ _U_WEIGHTS) / dcubed
+        series = polyvander(m[small], _SMALL_M_TERMS - 1) @ _SMALL_M_SERIES
+        i10[small] = 4.0 * series[:, 0] / ds
+        i11[small] = 4.0 * series[:, 1] / ds
+        i30[small] = 4.0 * series[:, 2] / dcubed
+        i31[small] = 4.0 * series[:, 3] / dcubed
 
-    return i10, i11, i30, i31, i32
+    return i10, i11, i30, i31
 
 
 def ring_stokeslet(r, z, r0, z0):
@@ -174,12 +184,15 @@ def ring_stokeslet(r, z, r0, z0):
     d_big = np.sqrt(big_dsq)
     m = 4.0 * r * r0 / big_dsq
 
-    i10, i11, i30, i31, i32 = _ring_integrals(d_big, dsq, m)
+    i10, i11, i30, i31 = _ring_integrals(d_big, dsq, m)
 
     m_zz = i10 + dz * dz * i30
     m_zr = dz * (r * i31 - r0 * i30)
     m_rz = dz * (r * i30 - r0 * i31)
-    m_rr = i11 + (r * r + r0 * r0) * i31 - r * r0 * (i30 + i32)
+    # The rr integrand is [2 cos(phi) R^2 - dz^2 cos(phi) - r r0 sin^2(phi)]
+    # / R^3, and by parts r r0 int sin^2(phi) / R^3 dphi = I11.  This form
+    # has no terms that cancel as the points coalesce.
+    m_rr = i11 - dz * dz * i31
     if scalar:
         return float(m_rr[0]), float(m_rz[0]), float(m_zr[0]), float(m_zz[0])
     return m_rr, m_rz, m_zr, m_zz
@@ -195,6 +208,8 @@ class BoundaryMesh:
     widths: np.ndarray
     r_of: CubicSpline
     z_of: CubicSpline
+    # Element j mirrors element n-1-j across a plane z = const.
+    mirrored: bool = False
 
     @property
     def n_elements(self) -> int:
@@ -249,9 +264,15 @@ def mesh_from_meridian(r, z, arclength, n_elements: int) -> BoundaryMesh:
 
 
 def profile_to_mesh(profile: BodyProfile, n_elements: int) -> BoundaryMesh:
-    """Mesh a tangent-angle profile; its arclength is exactly lam*(s+1)."""
+    """Mesh a tangent-angle profile; its arclength is exactly lam*(s+1).
+
+    Odd Legendre modes make the tangent angle odd in ``s`` on a grid with
+    ``s[i] == -s[-1-i]``, so the body is fore-aft symmetric and the mesh
+    is marked mirrored.
+    """
     arc = profile.lam * (profile.s + 1.0)
-    return mesh_from_meridian(profile.r, profile.z, arc, n_elements)
+    mesh = mesh_from_meridian(profile.r, profile.z, arc, n_elements)
+    return replace(mesh, mirrored=True)
 
 
 def _source_nodes(mesh: BoundaryMesh, centers, halfwidths, xi, wq):
@@ -270,6 +291,19 @@ def _source_nodes(mesh: BoundaryMesh, centers, halfwidths, xi, wq):
 # Panel grading toward the shared endpoint for near-singular neighbours.
 _NEIGHBOR_FRACTIONS = np.array([0.0, 0.125, 0.25, 0.5, 1.0])
 
+# Pairs of elements at least this many elements apart are integrated with
+# half the Gauss order of the nearer regular pairs.
+_FAR_GAP = 8
+
+
+@lru_cache(maxsize=8)
+def _gauss(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], shared and read-only."""
+    rule = np.polynomial.legendre.leggauss(order)
+    for array in rule:
+        array.flags.writeable = False
+    return rule
+
 
 def assemble_single_layer(
     mesh: BoundaryMesh, quad_order: int = 8, self_order: int = 12
@@ -278,97 +312,131 @@ def assemble_single_layer(
 
     Unknown ordering is ``(q_r, q_z)`` per element; row ``2i`` is the
     radial velocity at collocation point ``i`` and row ``2i + 1`` the
-    axial one.  Off-diagonal blocks use Gauss-Legendre quadrature of the
-    given order; the elements adjacent to the collocation point are
-    subdivided with panels graded toward it; the self element splits at
-    the collocation point and subtracts the logarithmic singularity,
-    which is integrated in closed form.
+    axial one.  Regular blocks use Gauss-Legendre quadrature of the given
+    order, halved for elements ``_FAR_GAP`` or more apart; the elements
+    adjacent to the collocation point are subdivided with panels graded
+    toward it; the self element splits at the collocation point and
+    subtracts the logarithmic singularity, which is integrated in closed
+    form.
+
+    On a mirrored mesh only the rows of the first ``ceil(n/2)`` elements
+    are assembled, and element ``j`` is folded with its mirror image
+    ``n-1-j``: ``q_z`` is even and ``q_r`` odd under the mirror.  The
+    result is the ``n x n`` block matrix ``[[rr, rz], [zr, zz]]`` over the
+    ``n // 2`` radial and ``ceil(n/2)`` axial unknowns; for odd ``n`` the
+    middle element has neither a radial unknown nor a radial row.
     """
     if quad_order < 2 or self_order < 2:
         raise ValueError("quadrature orders must be at least 2")
     n = mesh.n_elements
+    rows = (n + 1) // 2 if mesh.mirrored else n
     mids = mesh.midpoints_arc
     half = 0.5 * mesh.widths
     rc = mesh.midpoint_r
     zc = mesh.midpoint_z
+    blocks = np.empty((4, rows, n))  # rr, rz, zr, zz over (row, element)
 
-    xi, wq = np.polynomial.legendre.leggauss(quad_order)
+    def integrate(i_idx, j_idx, r_k, z_k, meas):
+        # Pair p is row i_idx[p] against the source nodes r_k[p, ...].
+        shape = i_idx.shape + (1,) * (r_k.ndim - 1)
+        kernel = ring_stokeslet(
+            rc[i_idx].reshape(shape), zc[i_idx].reshape(shape), r_k, z_k
+        )
+        axes = tuple(range(1, r_k.ndim))
+        blocks[:, i_idx, j_idx] = [(m * meas).sum(axis=axes) for m in kernel]
 
-    # --- regular blocks: every (collocation, element) pair at once
-    _, r_k, z_k, meas = _source_nodes(mesh, mids, half, xi, wq)
-    m_rr, m_rz, m_zr, m_zz = ring_stokeslet(
-        rc[:, None, None], zc[:, None, None], r_k[None, :, :], z_k[None, :, :]
+    # --- regular blocks: pairs two or more elements apart
+    gap = np.abs(np.arange(rows)[:, None] - np.arange(n)[None, :])
+    regular = (
+        (gap >= _FAR_GAP, max(2, quad_order // 2)),
+        ((gap > 1) & (gap < _FAR_GAP), quad_order),
     )
-    b_rr = (m_rr * meas).sum(axis=-1)
-    b_rz = (m_rz * meas).sum(axis=-1)
-    b_zr = (m_zr * meas).sum(axis=-1)
-    b_zz = (m_zz * meas).sum(axis=-1)
+    for keep, order in regular:
+        i_idx, j_idx = np.nonzero(keep)
+        xi, wq = _gauss(order)
+        _, r_k, z_k, meas = _source_nodes(mesh, mids, half, xi, wq)
+        integrate(i_idx, j_idx, r_k[j_idx], z_k[j_idx], meas[j_idx])
 
     # --- neighbour blocks: graded composite panels toward the shared end
-    if n > 1:
-        frac = _NEIGHBOR_FRACTIONS
-        for offset in (1, -1):
-            i_idx = np.arange(n - 1) if offset == 1 else np.arange(1, n)
-            j_idx = i_idx + offset
-            starts = mesh.element_bounds[j_idx]
-            w_j = mesh.widths[j_idx]
-            if offset == 1:
-                edges = starts[:, None] + w_j[:, None] * frac[None, :]
-            else:
-                rev = (1.0 - frac)[::-1]
-                edges = starts[:, None] + w_j[:, None] * rev[None, :]
-            centers = 0.5 * (edges[:, :-1] + edges[:, 1:])
-            halfwidths = 0.5 * np.diff(edges, axis=1)
-            _, r_kn, z_kn, meas_n = _source_nodes(mesh, centers, halfwidths, xi, wq)
-            m_rr, m_rz, m_zr, m_zz = ring_stokeslet(
-                rc[i_idx, None, None], zc[i_idx, None, None], r_kn, z_kn
-            )
-            b_rr[i_idx, j_idx] = (m_rr * meas_n).sum(axis=(-2, -1))
-            b_rz[i_idx, j_idx] = (m_rz * meas_n).sum(axis=(-2, -1))
-            b_zr[i_idx, j_idx] = (m_zr * meas_n).sum(axis=(-2, -1))
-            b_zz[i_idx, j_idx] = (m_zz * meas_n).sum(axis=(-2, -1))
+    xi, wq = _gauss(quad_order)
+    frac = _NEIGHBOR_FRACTIONS
+    for offset in (1, -1):
+        i_idx = np.arange(max(0, -offset), min(rows, n - offset))
+        j_idx = i_idx + offset
+        starts = mesh.element_bounds[j_idx]
+        w_j = mesh.widths[j_idx]
+        if offset == 1:
+            edges = starts[:, None] + w_j[:, None] * frac[None, :]
+        else:
+            rev = (1.0 - frac)[::-1]
+            edges = starts[:, None] + w_j[:, None] * rev[None, :]
+        centers = 0.5 * (edges[:, :-1] + edges[:, 1:])
+        halfwidths = 0.5 * np.diff(edges, axis=1)
+        _, r_kn, z_kn, meas_n = _source_nodes(mesh, centers, halfwidths, xi, wq)
+        integrate(i_idx, j_idx, r_kn, z_kn, meas_n)
 
     # --- self blocks: split at the collocation point, subtract the log
-    xi_s, wq_s = np.polynomial.legendre.leggauss(self_order)
-    left_centers = 0.5 * (mesh.element_bounds[:-1] + mids)
-    right_centers = 0.5 * (mids + mesh.element_bounds[1:])
-    quarter = 0.25 * mesh.widths
-    centers = np.stack([left_centers, right_centers], axis=1)
+    xi_s, wq_s = _gauss(self_order)
+    bounds = mesh.element_bounds[: rows + 1]
+    own = mids[:rows]
+    quarter = 0.25 * mesh.widths[:rows]
+    centers = np.stack([0.5 * (bounds[:-1] + own), 0.5 * (own + bounds[1:])], axis=1)
     halfwidths = np.stack([quarter, quarter], axis=1)
     nodes, r_ks, z_ks, meas_s = _source_nodes(mesh, centers, halfwidths, xi_s, wq_s)
-    m_rr, m_rz, m_zr, m_zz = ring_stokeslet(
-        rc[:, None, None], zc[:, None, None], r_ks, z_ks
-    )
+    diag = np.arange(rows)
+    integrate(diag, diag, r_ks, z_ks, meas_s)
     weights_s = halfwidths[..., None] * wq_s  # plain dl weights for the log term
-    log_term = np.log(np.abs(nodes - mids[:, None, None]))
+    log_term = np.log(np.abs(nodes - own[:, None, None]))
     # The kernel times the ring radius behaves as -2 log(distance) at the
     # collocation point, for the rr and zz components alike.
     log_quad = 2.0 * (weights_s * log_term).sum(axis=(-2, -1))
-    log_exact = 2.0 * mesh.widths * (np.log(0.5 * mesh.widths) - 1.0)
-    diag = np.arange(n)
-    b_rr[diag, diag] = (m_rr * meas_s).sum(axis=(-2, -1)) + log_quad - log_exact
-    b_zz[diag, diag] = (m_zz * meas_s).sum(axis=(-2, -1)) + log_quad - log_exact
-    b_rz[diag, diag] = (m_rz * meas_s).sum(axis=(-2, -1))
-    b_zr[diag, diag] = (m_zr * meas_s).sum(axis=(-2, -1))
+    log_exact = 2.0 * mesh.widths[:rows] * (np.log(0.5 * mesh.widths[:rows]) - 1.0)
+    blocks[0::3, diag, diag] += log_quad - log_exact
 
+    b_rr, b_rz, b_zr, b_zz = blocks * (1.0 / (8.0 * np.pi))
+    if mesh.mirrored:
+        k = n // 2
+
+        def odd(b):
+            return b[:, :k] - b[:, ::-1][:, :k]
+
+        def even(b):
+            folded = b[:, :rows].copy()
+            folded[:, :k] += b[:, ::-1][:, :k]
+            return folded
+
+        return np.block([[odd(b_rr[:k]), even(b_rz[:k])], [odd(b_zr), even(b_zz)]])
     matrix = np.empty((2 * n, 2 * n))
     matrix[0::2, 0::2] = b_rr
     matrix[0::2, 1::2] = b_rz
     matrix[1::2, 0::2] = b_zr
     matrix[1::2, 1::2] = b_zz
-    matrix *= 1.0 / (8.0 * np.pi)
     return matrix
 
 
 def solve_tractions(
     mesh: BoundaryMesh, quad_order: int = 8, self_order: int = 12
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Traction densities (q_r, q_z) for a body fixed in a unit stream."""
+    """Traction densities (q_r, q_z) for a body fixed in a unit stream.
+
+    A mirrored mesh is solved folded and unfolded to full length here.
+    """
     matrix = assemble_single_layer(mesh, quad_order, self_order)
-    rhs = np.zeros(2 * mesh.n_elements)
-    rhs[1::2] = 1.0
+    n = mesh.n_elements
+    if not mesh.mirrored:
+        rhs = np.zeros(2 * n)
+        rhs[1::2] = 1.0
+        solution = np.linalg.solve(matrix, rhs)
+        return solution[0::2], solution[1::2]
+    k = n // 2
+    rhs = np.zeros(n)
+    rhs[k:] = 1.0
     solution = np.linalg.solve(matrix, rhs)
-    return solution[0::2], solution[1::2]
+    q_r, q_z = solution[:k], solution[k:]
+    return (
+        np.concatenate([q_r, np.zeros(n - 2 * k), -q_r[::-1]]),
+        np.concatenate([q_z, q_z[:k][::-1]]),
+    )
 
 
 @dataclass(frozen=True)

@@ -395,6 +395,39 @@ def test_resume_with_wrong_dimension_exits_2_and_keeps_bytes(tmp_path, capsys):
     assert not (run_dir / "config.json").exists()
 
 
+def test_resume_with_different_config_exits_2_and_keeps_bytes(tmp_path, capsys):
+    config = write_config(tmp_path, ANALYTIC)
+    out = str(tmp_path / "run")
+    assert run_cli("run", "--config", config, "--out", out) == EXIT_OK
+    run_dir = tmp_path / "run" / "seed_0"
+    before = {name: (run_dir / name).read_bytes() for name in ("records.jsonl", "config.json")}
+    changed = write_config(tmp_path, {**ANALYTIC, "sigma": 0.3, "budget": 6}, "changed.json")
+    assert run_cli("run", "--config", changed, "--out", out, "--resume") == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "differs from" in err and " in sigma;" in err  # budget may change
+    assert {name: (run_dir / name).read_bytes() for name in before} == before
+
+    (run_dir / "config.json").unlink()
+    assert run_cli("run", "--config", config, "--out", out, "--resume") == EXIT_CONFIG
+    assert "config.json" in capsys.readouterr().err
+    assert (run_dir / "records.jsonl").read_bytes() == before["records.jsonl"]
+    assert not (run_dir / "config.json").exists()
+
+
+def test_resume_may_extend_the_budget(tmp_path):
+    longer = write_config(tmp_path, {**ANALYTIC, "budget": 6}, "longer.json")
+    run_cli("run", "--config", longer, "--out", str(tmp_path / "full"))
+    reference = tmp_path / "full" / "seed_0"
+
+    config = write_config(tmp_path, ANALYTIC)
+    out = str(tmp_path / "extended")
+    run_cli("run", "--config", config, "--out", out)
+    assert run_cli("run", "--config", longer, "--out", out, "--resume") == EXIT_OK
+    run_dir = tmp_path / "extended" / "seed_0"
+    assert (run_dir / "records.jsonl").read_bytes() == (reference / "records.jsonl").read_bytes()
+    assert json.loads((run_dir / "config.json").read_text())["budget"] == 6
+
+
 def test_ga_cli_matches_library_loop(tmp_path):
     budget = 5
     ga = {"elite_count": 2, "mutation_rate": 0.5}

@@ -1,5 +1,6 @@
 """Boundary-element drag solver against analytic and quadrature oracles."""
 
+import dataclasses
 import math
 import time
 
@@ -125,7 +126,7 @@ def test_kernel_matches_azimuthal_quadrature():
 def test_kernel_small_m_branch_continuity():
     # same geometry evaluated just either side of the branch switch
     r0, z0 = 1.0, 0.0
-    for m_target in (0.049, 0.051):
+    for m_target in (1e-4, 0.049, 0.051):
         # choose a field radius giving the target modulus at fixed dz
         dz = 2.0
         # m = 4 r r0 / ((r+r0)^2 + dz^2); solve for r by iteration
@@ -163,9 +164,9 @@ def test_kernel_log_singularity_slope():
     # approach along the meridian: kernel ~ -2 ln(distance) + bounded
     r0, z0 = 1.0, 0.3
     eps = np.array([1e-3, 1e-4, 1e-5, 1e-7, 1e-8, 1e-9])
-    zz = np.array([ring_stokeslet(r0, z0 + e, r0, z0)[3] for e in eps])
-    slopes = np.diff(zz) / np.diff(np.log(eps))
-    assert np.allclose(slopes, -2.0, rtol=0.01)
+    kernel = np.array([ring_stokeslet(r0, z0 + e, r0, z0) for e in eps])
+    slopes = np.diff(kernel[:, [0, 3]], axis=0) / np.diff(np.log(eps))[:, None]
+    assert np.allclose(slopes, -2.0, rtol=0.01)  # M_rr and M_zz alike
 
 
 def test_kernel_rejects_bad_points():
@@ -269,6 +270,84 @@ def test_sphere_traction_is_uniform():
     q_r, q_z = solve_tractions(mesh)
     assert np.max(np.abs(q_z - 1.5)) < 2e-3
     assert np.max(np.abs(q_r)) < 2e-3
+
+
+def test_odd_quadrature_orders_solve():
+    # no regular Gauss node may land on a collocation point
+    mesh = sphere_mesh(64)
+    d3 = solve_drag(mesh, quad_order=3).normalized
+    d8 = solve_drag(mesh, quad_order=8).normalized
+    d9 = solve_drag(mesh, quad_order=9).normalized
+    assert np.isfinite(d3)
+    assert abs(d9 - d8) / d8 < 5e-4
+
+
+def random_profiles(seed, count):
+    rng = np.random.default_rng(seed)
+    while count:
+        k = rng.integers(1, 6)
+        coeffs = rng.uniform(-0.4, 0.4, k)
+        coeffs[0] = rng.uniform(-2.2, -0.9)
+        profile = integrate_profile(coeffs, 401)
+        if profile.min_interior_radius < 1e-3:
+            continue
+        count -= 1
+        yield rescale_to_constraint(profile, GeometricConstraint.fixed_volume())
+
+
+def test_folded_and_full_drags_agree():
+    for profile, n in zip(random_profiles(41, 8), (1, 2, 3, 9, 40, 41, 120, 121)):
+        mesh = profile_to_mesh(profile, n)
+        assert mesh.mirrored
+        full = dataclasses.replace(mesh, mirrored=False)
+        assert assemble_single_layer(mesh).shape == (n, n)
+        assert assemble_single_layer(full).shape == (2 * n, 2 * n)
+        folded = solve_drag(mesh).drag
+        assert folded > 0
+        assert folded == pytest.approx(solve_drag(full).drag, rel=1e-13)
+
+
+def test_folded_tractions_have_mirror_parity():
+    for profile, n in zip(random_profiles(43, 3), (1, 60, 61)):
+        q_r, q_z = solve_tractions(profile_to_mesh(profile, n))
+        assert q_r.shape == q_z.shape == (n,)
+        scale = np.max(np.abs(q_z))
+        assert np.max(np.abs(q_r + q_r[::-1])) < 1e-12 * scale  # odd
+        assert np.max(np.abs(q_z - q_z[::-1])) < 1e-12 * scale  # even
+
+
+def test_folded_and_full_tractions_differ_by_the_pressure_gauge():
+    # the full system admits a constant pressure, a traction along the normal
+    profile = next(random_profiles(47, 1))
+    mesh = profile_to_mesh(profile, 60)
+    q_r, q_z = solve_tractions(mesh)
+    f_r, f_z = solve_tractions(dataclasses.replace(mesh, mirrored=False))
+    s = mesh.midpoints_arc
+    normal = np.concatenate([mesh.z_of(s, 1), -mesh.r_of(s, 1)])
+    diff = np.concatenate([f_r - q_r, f_z - q_z])
+    gauge = diff @ normal / (normal @ normal)
+    assert np.max(np.abs(diff - gauge * normal)) < 1e-11 * np.max(np.abs(q_z))
+
+
+def test_folded_sphere_traction_is_uniform():
+    profile = rescale_to_constraint(
+        integrate_profile(SPHERE, 801), GeometricConstraint.fixed_volume()
+    )
+    q_r, q_z = solve_tractions(profile_to_mesh(profile, 100))
+    assert np.max(np.abs(q_z - 1.5)) < 2e-3
+    assert np.max(np.abs(q_r)) < 2e-3
+
+
+def test_asymmetric_meridian_solves_unfolded():
+    # an egg, blunter at its front than at its back: no mirror plane
+    theta = np.linspace(0.0, math.pi, 2001)
+    r = np.sin(theta) * (1.0 - 0.25 * np.cos(theta))
+    z = -np.cos(theta)
+    arc = np.concatenate([[0.0], np.cumsum(np.hypot(np.diff(r), np.diff(z)))])
+    mesh = mesh_from_meridian(r, z, arc, 80)
+    assert not mesh.mirrored
+    result = solve_drag(mesh)
+    assert np.isfinite(result.drag) and result.drag > 0
 
 
 def test_quadrature_order_self_convergence():
