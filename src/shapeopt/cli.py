@@ -4,7 +4,9 @@ One JSON config document describes a run; the only environment input is
 the API key variable named inside it.  Each seed gets its own directory
 with a resolved config snapshot, incremental JSON Lines records, a
 trajectory table, and a summary, so interrupted runs resume bit-exactly
-and finished runs replay bit-exactly from their snapshots.
+and finished runs replay bit-exactly from their snapshots.  Every file
+but the appended records is replaced whole, never rewritten in place, so
+a kill leaves either the old file or the new one.
 """
 
 from __future__ import annotations
@@ -12,10 +14,12 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -284,6 +288,22 @@ def make_problem(settings: RunSettings):
     )
 
 
+@contextmanager
+def _replacing(path: Path) -> Iterator[Path]:
+    """Yield a temp path beside ``path``; move it over ``path`` on success.
+
+    ``os.replace`` within one directory is atomic, so ``path`` holds its
+    old bytes or its new ones, never a torn mix.  The temp file is removed
+    if the block fails; only a kill can leave one behind.
+    """
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        yield tmp
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 class RecordWriter:
     """Appends one JSON line per record; timestamps count evaluations."""
 
@@ -388,7 +408,7 @@ def load_records(
     buffer, lines, dropped = _parse_records(path, population_size, dimension)
     kept = len(buffer)
     if dropped:
-        with open(path, "w", encoding="utf-8") as handle:
+        with _replacing(path) as tmp, open(tmp, "w", encoding="utf-8") as handle:
             handle.writelines(line + "\n" for line in lines[:kept])
     return buffer, kept, dropped
 
@@ -429,7 +449,7 @@ def _check_same_run(
 
 
 def write_trajectory(path: Path, buffer: RecordBuffer) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
+    with _replacing(path) as tmp, open(tmp, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(
             ["generation", "best_score_in_generation", "best_score_so_far"]
@@ -460,7 +480,7 @@ def _write_summary(
         summary["best_normalized_drag"] = drag.normalized
         summary["best_drag_force"] = drag.drag
         summary["scale_lambda"] = profile.lam
-    with open(path, "w", encoding="utf-8") as handle:
+    with _replacing(path) as tmp, open(tmp, "w", encoding="utf-8") as handle:
         json.dump(summary, handle, indent=2)
         handle.write("\n")
 
@@ -497,7 +517,9 @@ def run_single_seed(settings: RunSettings, seed: int, resume: bool) -> Path:
             records_path, settings.population_size, problem.bounds.dimension
         )
 
-    with open(run_dir / "config.json", "w", encoding="utf-8") as handle:
+    with _replacing(run_dir / "config.json") as tmp, open(
+        tmp, "w", encoding="utf-8"
+    ) as handle:
         json.dump(settings.snapshot(seed), handle, indent=2)
         handle.write("\n")
 
@@ -514,7 +536,8 @@ def run_single_seed(settings: RunSettings, seed: int, resume: bool) -> Path:
     detail = None
     if isinstance(problem, AxisymDragProblem) and result.best.status == "ok":
         detail = problem.evaluate_detail(result.best.design)
-        export_profile_csv(detail[1], run_dir / "best_profile.csv")
+        with _replacing(run_dir / "best_profile.csv") as tmp:
+            export_profile_csv(detail[1], tmp)
     _write_summary(run_dir / "summary.json", settings, problem, result.buffer, detail)
     return run_dir
 

@@ -6,6 +6,11 @@ the single-layer surface integral into a line integral along the meridian
 with complete elliptic integrals in the kernel.  ``scipy.special`` supplies
 them: K by ``ellipkm1`` from the exact ``1 - m``, which keeps the kernel's
 log singularity down to round-off separations, and E by ``ellipe``.
+The meridian between its samples is a piecewise-cubic Hermite
+interpolant (``CubicHermite``).  ``profile_to_mesh`` gives it the exact
+tangent of a tangent-angle profile; ``mesh_from_meridian`` takes the
+knot slopes of the cubic spline through the samples, which makes the
+interpolant that spline.
 Piecewise-constant force densities are collocated at element midpoints;
 the self-element log singularity is subtracted and integrated
 analytically, and element pairs ``_FAR_GAP`` or more elements apart use
@@ -40,7 +45,6 @@ from pathlib import Path
 
 import numpy as np
 from numpy.polynomial.polynomial import polyvander
-from scipy.interpolate import CubicSpline
 from scipy.special import binom, ellipe, ellipk, ellipkm1
 
 from .axisym import BodyProfile
@@ -58,6 +62,7 @@ _SMALL_M_TERMS = 16
 
 __all__ = [
     "BoundaryMesh",
+    "CubicHermite",
     "DragResult",
     "MAX_ELEMENTS",
     "MeshError",
@@ -198,6 +203,47 @@ def ring_stokeslet(r, z, r0, z0):
     return m_rr, m_rz, m_zr, m_zz
 
 
+class CubicHermite:
+    """Piecewise-cubic Hermite interpolant from values and slopes at knots.
+
+    ``y`` and ``dydx`` end in the knot axis; leading axes are curves on
+    the same knots, so one interval search serves them all.  Like
+    ``scipy.interpolate.PPoly`` it holds per-interval coefficients:
+    ``searchsorted`` finds the interval, and Horner's rule sums the cubic
+    in the offset from its left knot.  Points beyond the end knots
+    extrapolate the end cubics.
+    """
+
+    def __init__(self, x, y, dydx) -> None:
+        self.x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        dydx = np.asarray(dydx, dtype=float)
+        h = np.diff(self.x)
+        secant = np.diff(y) / h
+        left = dydx[..., :-1]
+        excess = (left + dydx[..., 1:] - 2.0 * secant) / h
+        # Coefficients of 1, t, t^2 and t^3 in the offset t from the left knot.
+        self.c = np.stack(
+            [y[..., :-1], left, (secant - left) / h - excess, excess / h]
+        )
+
+    def __call__(self, x, nu: int = 0):
+        """Values (``nu=0``) or first derivatives (``nu=1``) at ``x``.
+
+        The result has the leading shape of ``y`` followed by that of ``x``.
+        """
+        if nu not in (0, 1):
+            raise ValueError("only values (nu=0) and slopes (nu=1) are supported")
+        x = np.asarray(x, dtype=float)
+        # Clipping sends points beyond the end knots to the end intervals.
+        i = np.searchsorted(self.x, x, side="right") - 1
+        t = x - np.take(self.x[:-1], i, mode="clip")
+        c0, c1, c2, c3 = np.take(self.c, i, axis=-1, mode="clip")
+        if nu == 0:
+            return c0 + t * (c1 + t * (c2 + t * c3))
+        return c1 + t * (2.0 * c2 + t * (3.0 * c3))
+
+
 @dataclass
 class BoundaryMesh:
     """Equal-arclength boundary elements along a meridian curve."""
@@ -206,10 +252,17 @@ class BoundaryMesh:
     midpoint_r: np.ndarray
     midpoint_z: np.ndarray
     widths: np.ndarray
-    r_of: CubicSpline
-    z_of: CubicSpline
+    meridian: CubicHermite  # (r, z) against arclength from the first pole
     # Element j mirrors element n-1-j across a plane z = const.
     mirrored: bool = False
+
+    def r_of(self, arc, nu: int = 0):
+        """Radius (``nu=0``) or dr/dl (``nu=1``) at arclength ``arc``."""
+        return self.meridian(arc, nu)[0]
+
+    def z_of(self, arc, nu: int = 0):
+        """Axial position (``nu=0``) or dz/dl (``nu=1``) at arclength ``arc``."""
+        return self.meridian(arc, nu)[1]
 
     @property
     def n_elements(self) -> int:
@@ -224,12 +277,16 @@ class BoundaryMesh:
         return float(self.element_bounds[-1])
 
 
-def mesh_from_meridian(r, z, arclength, n_elements: int) -> BoundaryMesh:
+def mesh_from_meridian(
+    r, z, arclength, n_elements: int, slopes=None
+) -> BoundaryMesh:
     """Split a sampled meridian into equal-arclength boundary elements.
 
     The samples must run from pole to pole with strictly increasing
     arclength.  Element midpoints serve as collocation points and must
-    stay off the axis.
+    stay off the axis.  ``slopes`` are ``(dr/dl, dz/dl)`` at the samples
+    when they are known; otherwise they are the knot slopes of the cubic
+    spline through the samples.
     """
     r = np.asarray(r, dtype=float)
     z = np.asarray(z, dtype=float)
@@ -245,12 +302,16 @@ def mesh_from_meridian(r, z, arclength, n_elements: int) -> BoundaryMesh:
         raise MeshError("meridian crosses the axis of revolution")
 
     arc = arclength - arclength[0]
-    r_of = CubicSpline(arc, r)
-    z_of = CubicSpline(arc, z)
+    points = np.stack([r, z])
+    if slopes is None:
+        # Imported here: scipy.interpolate is slow to load, and the drag
+        # path (profile_to_mesh) knows its slopes.
+        from scipy.interpolate import CubicSpline
+
+        slopes = CubicSpline(arc, points, axis=1)(arc, 1)
+    meridian = CubicHermite(arc, points, slopes)
     bounds = np.linspace(0.0, arc[-1], n_elements + 1)
-    mids = 0.5 * (bounds[:-1] + bounds[1:])
-    mid_r = np.asarray(r_of(mids), dtype=float)
-    mid_z = np.asarray(z_of(mids), dtype=float)
+    mid_r, mid_z = meridian(0.5 * (bounds[:-1] + bounds[1:]))
     if np.any(mid_r <= 0.0):
         raise MeshError("collocation point on or below the axis")
     return BoundaryMesh(
@@ -258,20 +319,21 @@ def mesh_from_meridian(r, z, arclength, n_elements: int) -> BoundaryMesh:
         midpoint_r=mid_r,
         midpoint_z=mid_z,
         widths=np.diff(bounds),
-        r_of=r_of,
-        z_of=z_of,
+        meridian=meridian,
     )
 
 
 def profile_to_mesh(profile: BodyProfile, n_elements: int) -> BoundaryMesh:
     """Mesh a tangent-angle profile; its arclength is exactly lam*(s+1).
 
-    Odd Legendre modes make the tangent angle odd in ``s`` on a grid with
-    ``s[i] == -s[-1-i]``, so the body is fore-aft symmetric and the mesh
-    is marked mirrored.
+    The unit tangent at every sample is exactly ``(sin phi, cos phi)``,
+    so the interpolant needs no spline.  Odd Legendre modes make the
+    tangent angle odd in ``s`` on a grid with ``s[i] == -s[-1-i]``, so the
+    body is fore-aft symmetric and the mesh is marked mirrored.
     """
     arc = profile.lam * (profile.s + 1.0)
-    mesh = mesh_from_meridian(profile.r, profile.z, arc, n_elements)
+    slopes = (np.sin(profile.phi), np.cos(profile.phi))
+    mesh = mesh_from_meridian(profile.r, profile.z, arc, n_elements, slopes)
     return replace(mesh, mirrored=True)
 
 
@@ -279,9 +341,8 @@ def _source_nodes(mesh: BoundaryMesh, centers, halfwidths, xi, wq):
     """Gauss nodes and weighted measures on intervals along the meridian."""
     nodes = centers[..., None] + halfwidths[..., None] * xi
     weights = halfwidths[..., None] * wq
-    r_raw = np.asarray(mesh.r_of(nodes), dtype=float)
-    z_nodes = np.asarray(mesh.z_of(nodes), dtype=float)
-    # Spline overshoot can dip below the axis right at the poles; those
+    r_raw, z_nodes = mesh.meridian(nodes)
+    # Interpolant overshoot can dip below the axis right at the poles; those
     # nodes carry (clipped) zero measure, so pad the kernel radius only.
     measure = np.clip(r_raw, 0.0, None) * weights
     r_kernel = np.maximum(r_raw, 1e-14)

@@ -414,6 +414,24 @@ def test_resume_with_different_config_exits_2_and_keeps_bytes(tmp_path, capsys):
     assert not (run_dir / "config.json").exists()
 
 
+def test_failed_config_write_keeps_the_old_file(tmp_path, monkeypatch):
+    config = write_config(tmp_path, ANALYTIC)
+    out = str(tmp_path / "run")
+    assert run_cli("run", "--config", config, "--out", out) == EXIT_OK
+    run_dir = tmp_path / "run" / "seed_0"
+    before = {path.name: path.read_bytes() for path in run_dir.iterdir()}
+
+    def torn_dump(obj, handle, **kwargs):
+        handle.write(json.dumps(obj, **kwargs)[:20])
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli.json, "dump", torn_dump)
+    with pytest.raises(OSError, match="disk full"):
+        run_cli("run", "--config", config, "--out", out, "--resume")
+    # the old config.json is whole, and no temp file is left beside it
+    assert {path.name: path.read_bytes() for path in run_dir.iterdir()} == before
+
+
 def test_resume_may_extend_the_budget(tmp_path):
     longer = write_config(tmp_path, {**ANALYTIC, "budget": 6}, "longer.json")
     run_cli("run", "--config", longer, "--out", str(tmp_path / "full"))
@@ -484,6 +502,23 @@ def test_load_records_drops_partial_tail(tmp_path):
     buffer, kept, dropped = load_records(path, population_size=2)
     assert (buffer.n_generations, kept, dropped) == (2, 4, True)
     assert len(path.read_text().splitlines()) == 4
+
+
+def test_failed_records_rewrite_keeps_the_old_file(tmp_path, monkeypatch):
+    path = tmp_path / "records.jsonl"
+    good = {"generation": 0, "design": [0.0], "encoded": [500],
+            "score": 1.0, "status": "ok", "timestamp": 0}
+    path.write_text(json.dumps(good) + "\n" + json.dumps(good)[:20])
+    before = path.read_bytes()
+
+    def refuse(src, dst):
+        raise OSError("killed before the rename")
+
+    monkeypatch.setattr(cli.os, "replace", refuse)
+    with pytest.raises(OSError, match="killed"):
+        load_records(path, population_size=1)
+    assert [p.name for p in tmp_path.iterdir()] == ["records.jsonl"]
+    assert path.read_bytes() == before
 
 
 def test_load_records_rejects_corruption(tmp_path):

@@ -2,17 +2,23 @@
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.interpolate import CubicSpline
 from scipy.special import ellipe, ellipk
 
+import shapeopt
 from shapeopt.axisym import GeometricConstraint, integrate_profile, rescale_to_constraint
 from shapeopt.stokesbem import (
     MAX_ELEMENTS,
     SPHERE_DRAG,
+    CubicHermite,
     MeshError,
     assemble_single_layer,
     complete_elliptic_e,
@@ -218,6 +224,86 @@ def test_profile_to_mesh_arclength():
     mesh = profile_to_mesh(profile, 100)
     # meridian length of the unit sphere is pi
     assert mesh.total_arclength == pytest.approx(math.pi, rel=1e-6)
+
+
+def test_profile_interpolant_takes_the_exact_tangent():
+    profile = next(random_profiles(53, 1))
+    mesh = profile_to_mesh(profile, 40)
+    knots = mesh.meridian.x
+    assert np.array_equal(knots, profile.lam * (profile.s + 1.0))
+    # exact at every knot but the last, which the end cubic reaches with round-off
+    inner = knots[:-1]
+    assert np.array_equal(mesh.r_of(inner), profile.r[:-1])
+    assert np.array_equal(mesh.z_of(inner), profile.z[:-1])
+    assert np.array_equal(mesh.r_of(inner, 1), np.sin(profile.phi[:-1]))
+    assert np.array_equal(mesh.z_of(inner, 1), np.cos(profile.phi[:-1]))
+    end = knots[-1]
+    assert mesh.r_of(end) == pytest.approx(profile.r[-1], abs=1e-14)
+    assert mesh.z_of(end) == pytest.approx(profile.z[-1], abs=1e-14)
+    assert mesh.r_of(end, 1) == pytest.approx(math.sin(profile.phi[-1]), abs=1e-13)
+    assert mesh.z_of(end, 1) == pytest.approx(math.cos(profile.phi[-1]), abs=1e-13)
+
+
+def test_meridian_interpolant_is_the_cubic_spline():
+    # an egg on a non-uniform arclength grid
+    theta = np.linspace(0.0, math.pi, 301) ** 1.3 / math.pi**0.3
+    r = np.sin(theta) * (1.0 - 0.25 * np.cos(theta))
+    z = -np.cos(theta)
+    arc = 0.5 + np.concatenate([[0.0], np.cumsum(np.hypot(np.diff(r), np.diff(z)))])
+    mesh = mesh_from_meridian(r, z, arc, 30)
+    arc = arc - arc[0]  # the mesh measures arclength from the first pole
+    points = np.random.default_rng(59).uniform(0.0, arc[-1], 2000)
+    for interpolant, values in ((mesh.r_of, r), (mesh.z_of, z)):
+        spline = CubicSpline(arc, values)
+        for nu in (0, 1):
+            assert np.max(np.abs(interpolant(points, nu) - spline(points, nu))) < 1e-13
+
+
+def test_cubic_hermite_reproduces_cubics():
+    x = np.array([0.0, 0.3, 1.0, 1.1, 2.5])
+    cubics = [
+        np.polynomial.Polynomial([0.5, -1.0, 2.0, 0.7]),
+        np.polynomial.Polynomial([-2.0, 0.0, 0.3, -1.1]),
+    ]
+    pair = CubicHermite(
+        x, [p(x) for p in cubics], [p.deriv()(x) for p in cubics]
+    )
+    single = CubicHermite(x, cubics[0](x), cubics[0].deriv()(x))
+    points = np.linspace(-0.5, 3.0, 70).reshape(7, 10)  # extrapolation included
+    assert pair(points).shape == (2, 7, 10) and single(points).shape == (7, 10)
+    assert np.array_equal(pair(points)[0], single(points))
+    for nu in (0, 1):
+        expected = [p.deriv(nu)(points) for p in cubics]
+        assert np.allclose(pair(points, nu), expected, rtol=0, atol=1e-12)
+    assert single(0.3) == cubics[0](0.3)
+    with pytest.raises(ValueError):
+        single(points, 2)
+
+
+def test_drag_path_does_not_import_scipy_interpolate():
+    script = """
+import sys
+import numpy as np
+import shapeopt.cli
+from shapeopt.axisym import integrate_profile
+from shapeopt.stokesbem import mesh_from_meridian, profile_to_mesh, solve_drag
+profile = integrate_profile(np.array([-1.4, 0.3]), 201)
+assert solve_drag(profile_to_mesh(profile, 24)).drag > 0
+assert "scipy.interpolate" not in sys.modules, "the drag path imported scipy.interpolate"
+theta = np.linspace(0.0, np.pi, 101)
+assert solve_drag(mesh_from_meridian(np.sin(theta), -np.cos(theta), theta, 24)).drag > 0
+assert "scipy.interpolate" in sys.modules
+"""
+    src = os.path.dirname(os.path.dirname(shapeopt.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
 
 
 # ------------------------------------------------------------------- solve
