@@ -74,7 +74,6 @@ class AirfoilCurve:
     """Closed sampled polyline; first and last vertex coincide exactly."""
 
     points: np.ndarray
-    samples_per_segment: int
 
     def __post_init__(self) -> None:
         self.points = np.asarray(self.points, dtype=float)
@@ -192,9 +191,7 @@ def build_airfoil_curve(
         c1 = xy[i] + handle * direction_i
         c2 = xy[j] - handle * direction_j
         samples.append(_cubic_bezier(xy[i], c1, c2, xy[j], t)[1:])
-    return AirfoilCurve(
-        points=np.vstack(samples), samples_per_segment=samples_per_segment
-    )
+    return AirfoilCurve(points=np.vstack(samples))
 
 
 def is_simple(curve: AirfoilCurve) -> bool:

@@ -294,8 +294,14 @@ def _replacing(path: Path) -> Iterator[Path]:
 
     ``os.replace`` within one directory is atomic, so ``path`` holds its
     old bytes or its new ones, never a torn mix.  The temp file is removed
-    if the block fails; only a kill can leave one behind.
+    if the block fails; only a kill can leave one behind.  Missing parent
+    directories are made first, and a parent that cannot be made (a path
+    through a regular file, say) is a ConfigError naming ``path``.
     """
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         yield tmp
@@ -448,17 +454,29 @@ def _check_same_run(
     )
 
 
-def write_trajectory(path: Path, buffer: RecordBuffer) -> None:
+def _write_csv(path: Path, header: list[str], rows) -> None:
     with _replacing(path) as tmp, open(tmp, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(
-            ["generation", "best_score_in_generation", "best_score_so_far"]
-        )
-        best_so_far = -np.inf
-        for g in range(buffer.n_generations):
-            best = buffer.best_in(g).score
-            best_so_far = max(best_so_far, best)
-            writer.writerow([g, repr(float(best)), repr(float(best_so_far))])
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _write_json(path: Path, doc) -> None:
+    with _replacing(path) as tmp, open(tmp, "w", encoding="utf-8") as handle:
+        json.dump(doc, handle, indent=2)
+        handle.write("\n")
+
+
+def write_trajectory(path: Path, buffer: RecordBuffer) -> None:
+    rows = []
+    best_so_far = -np.inf
+    for g in range(buffer.n_generations):
+        best = buffer.best_in(g).score
+        best_so_far = max(best_so_far, best)
+        rows.append([g, repr(float(best)), repr(float(best_so_far))])
+    _write_csv(
+        path, ["generation", "best_score_in_generation", "best_score_so_far"], rows
+    )
 
 
 def _write_summary(
@@ -480,9 +498,7 @@ def _write_summary(
         summary["best_normalized_drag"] = drag.normalized
         summary["best_drag_force"] = drag.drag
         summary["scale_lambda"] = profile.lam
-    with _replacing(path) as tmp, open(tmp, "w", encoding="utf-8") as handle:
-        json.dump(summary, handle, indent=2)
-        handle.write("\n")
+    _write_json(path, summary)
 
 
 def _strategy(settings: RunSettings, seed: int, run_dir: Path, problem) -> AskStrategy:
@@ -498,7 +514,6 @@ def _strategy(settings: RunSettings, seed: int, run_dir: Path, problem) -> AskSt
 
 def run_single_seed(settings: RunSettings, seed: int, resume: bool) -> Path:
     run_dir = Path(settings.output_dir) / f"seed_{seed}"
-    run_dir.mkdir(parents=True, exist_ok=True)
     records_path = run_dir / "records.jsonl"
     problem = make_problem(settings)
 
@@ -517,11 +532,7 @@ def run_single_seed(settings: RunSettings, seed: int, resume: bool) -> Path:
             records_path, settings.population_size, problem.bounds.dimension
         )
 
-    with _replacing(run_dir / "config.json") as tmp, open(
-        tmp, "w", encoding="utf-8"
-    ) as handle:
-        json.dump(settings.snapshot(seed), handle, indent=2)
-        handle.write("\n")
+    _write_json(run_dir / "config.json", settings.snapshot(seed))  # makes run_dir
 
     writer = RecordWriter(records_path, problem.bounds, start_index=kept)
     result = run_optimization(
@@ -590,12 +601,10 @@ def cmd_compare(run_dirs: list[str], out: str) -> int:
         header += [f"{label}_mean", f"{label}_min", f"{label}_max"]
         columns += [stacked.mean(axis=0), stacked.min(axis=0), stacked.max(axis=0)]
     out_path = Path(out)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    with open(out_path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        for g in range(horizon):
-            writer.writerow([g] + [repr(float(col[g])) for col in columns])
+    _write_csv(
+        out_path, header,
+        ([g] + [repr(float(col[g])) for col in columns] for g in range(horizon)),
+    )
     print(out_path)
     return EXIT_OK
 
@@ -632,28 +641,24 @@ def cmd_sweep_nini(config_path: str, nini_values: list[int], out: str | None) ->
         mean_columns[value] = stacked.mean(axis=0)
         final_bests[value] = [float(t[-1]) for t in trajectories]
     sweep_path = base_out / "sweep_nini.csv"
-    with open(sweep_path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(
-            ["generation"] + [f"nini{v}_mean_best_so_far" for v in nini_values]
-        )
-        for g in range(settings.budget):
-            writer.writerow(
-                [g] + [repr(float(mean_columns[v][g])) for v in nini_values]
-            )
-    with open(base_out / "sweep_summary.json", "w", encoding="utf-8") as handle:
-        json.dump(
-            {
-                str(v): {
-                    "final_bests": final_bests[v],
-                    "mean_final_best": float(np.mean(final_bests[v])),
-                }
-                for v in nini_values
-            },
-            handle,
-            indent=2,
-        )
-        handle.write("\n")
+    _write_csv(
+        sweep_path,
+        ["generation"] + [f"nini{v}_mean_best_so_far" for v in nini_values],
+        (
+            [g] + [repr(float(mean_columns[v][g])) for v in nini_values]
+            for g in range(settings.budget)
+        ),
+    )
+    _write_json(
+        base_out / "sweep_summary.json",
+        {
+            str(v): {
+                "final_bests": final_bests[v],
+                "mean_final_best": float(np.mean(final_bests[v])),
+            }
+            for v in nini_values
+        },
+    )
     print(sweep_path)
     return EXIT_OK
 
@@ -698,20 +703,20 @@ def cmd_evaluate(
             scale_lambda=profile.lam,
         )
         if profile_out:
-            export_profile_csv(profile, profile_out)
+            with _replacing(Path(profile_out)) as tmp:
+                export_profile_csv(profile, tmp)
             report["profile_csv"] = profile_out
         if traction_out:
             mesh, (q_r, q_z) = problem.traction_profile(design)
-            export_traction_csv(mesh, q_r, q_z, traction_out)
+            with _replacing(Path(traction_out)) as tmp:
+                export_traction_csv(mesh, q_r, q_z, tmp)
             report["traction_csv"] = traction_out
     else:
         report["score"] = float(problem.evaluate(design))
-    text = json.dumps(report, indent=2) + "\n"
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.write(json.dumps(report, indent=2) + "\n")
     else:
-        Path(out).parent.mkdir(parents=True, exist_ok=True)
-        Path(out).write_text(text, encoding="utf-8")
+        _write_json(Path(out), report)
         print(out)
     return EXIT_OK
 

@@ -274,7 +274,6 @@ class SearchState:
 
     mean: np.ndarray
     sigma: float | np.ndarray
-    generation: int
     population_size: int
 
     def __post_init__(self) -> None:
@@ -379,7 +378,7 @@ class GaussianSearch:
                 )
             mean = bounds.clamp(mean)
         sigma = config.sigma if config.sigma is not None else 0.1 * bounds.half_width
-        state = SearchState(mean, sigma, buffer.n_generations, config.population_size)
+        state = SearchState(mean, sigma, config.population_size)
         return sample_generation(state, bounds, rng)
 
 

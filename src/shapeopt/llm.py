@@ -76,19 +76,16 @@ class TransportError(RuntimeError):
 
 @dataclass
 class LlmConfig:
-    """Connection settings; temperature is pinned to zero by contract."""
+    """Connection settings; every request asks for temperature zero."""
 
     endpoint: str
     model: str
-    temperature: float = 0.0
     max_retries: int = 2
     timeout: float = 60.0
     api_key_env: str = "SHAPEOPT_API_KEY"
     audit_path: str | None = None
 
     def __post_init__(self) -> None:
-        if self.temperature != 0.0:
-            raise ValueError("temperature is fixed at 0")
         if self.max_retries < 0:
             raise ValueError("max_retries must be non-negative")
 
@@ -99,16 +96,13 @@ class PromptBundle:
 
     text: str
     dimension: int
-    encoded_lower: int = 0
-    encoded_upper: int = ENCODING_STEPS
 
 
 @dataclass
 class ProposedMean:
-    """Parsed integer mean plus the raw reply for the audit trail."""
+    """Parsed integer mean."""
 
     encoded: np.ndarray
-    raw: str
 
     def __post_init__(self) -> None:
         self.encoded = np.asarray(self.encoded, dtype=int)
@@ -193,7 +187,7 @@ def parse_mean_response(text: str, dimension: int) -> ProposedMean:
         raise ComponentOutOfRange(
             f"components must lie in [0, {ENCODING_STEPS}], got {components}"
         )
-    return ProposedMean(encoded=encoded, raw=text)
+    return ProposedMean(encoded=encoded)
 
 
 def _extract_text(body: object) -> str:
@@ -264,7 +258,7 @@ def propose_mean_via_llm(
     for attempt in range(attempts):
         payload = {
             "model": cfg.model,
-            "temperature": cfg.temperature,
+            "temperature": 0.0,
             "messages": list(messages),
         }
         audit = {"attempt": attempt, "request": payload}

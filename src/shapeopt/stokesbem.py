@@ -11,12 +11,15 @@ interpolant (``CubicHermite``).  ``profile_to_mesh`` gives it the exact
 tangent of a tangent-angle profile; ``mesh_from_meridian`` takes the
 knot slopes of the cubic spline through the samples, which makes the
 interpolant that spline.
-Piecewise-constant force densities are collocated at element midpoints;
-the self-element log singularity is subtracted and integrated
-analytically, and element pairs ``_FAR_GAP`` or more elements apart use
-half the Gauss order of the nearer ones.  The dense system is solved
-directly, and drag is reported both raw (unit viscosity, unit stream
-speed) and normalized by the Stokes drag of the unit sphere.
+Piecewise-constant force densities are collocated at element midpoints.
+One rule table integrates every element pair: the signed gap between
+source and collocation element picks the Gauss panels and order, with
+half the order ``_FAR_GAP`` or more elements apart, panels graded toward
+the neighbours, and the self-element log singularity subtracted and
+integrated analytically.  The dense system, in the one block layout
+``[[rr, rz], [zr, zz]]``, is solved directly, and drag is reported both
+raw (unit viscosity, unit stream speed) and normalized by the Stokes drag
+of the unit sphere.
 
 Meshes of the fore-aft symmetric profiles (``profile_to_mesh``) are
 marked mirrored.  In an axial stream ``q_z`` is then even and ``q_r`` odd
@@ -337,21 +340,6 @@ def profile_to_mesh(profile: BodyProfile, n_elements: int) -> BoundaryMesh:
     return replace(mesh, mirrored=True)
 
 
-def _source_nodes(mesh: BoundaryMesh, centers, halfwidths, xi, wq):
-    """Gauss nodes and weighted measures on intervals along the meridian."""
-    nodes = centers[..., None] + halfwidths[..., None] * xi
-    weights = halfwidths[..., None] * wq
-    r_raw, z_nodes = mesh.meridian(nodes)
-    # Interpolant overshoot can dip below the axis right at the poles; those
-    # nodes carry (clipped) zero measure, so pad the kernel radius only.
-    measure = np.clip(r_raw, 0.0, None) * weights
-    r_kernel = np.maximum(r_raw, 1e-14)
-    return nodes, r_kernel, z_nodes, measure
-
-
-# Panel grading toward the shared endpoint for near-singular neighbours.
-_NEIGHBOR_FRACTIONS = np.array([0.0, 0.125, 0.25, 0.5, 1.0])
-
 # Pairs of elements at least this many elements apart are integrated with
 # half the Gauss order of the nearer regular pairs.
 _FAR_GAP = 8
@@ -371,108 +359,78 @@ def assemble_single_layer(
 ) -> np.ndarray:
     """Collocation matrix of the single-layer velocity operator.
 
-    Unknown ordering is ``(q_r, q_z)`` per element; row ``2i`` is the
-    radial velocity at collocation point ``i`` and row ``2i + 1`` the
-    axial one.  Regular blocks use Gauss-Legendre quadrature of the given
-    order, halved for elements ``_FAR_GAP`` or more apart; the elements
-    adjacent to the collocation point are subdivided with panels graded
-    toward it; the self element splits at the collocation point and
-    subtracts the logarithmic singularity, which is integrated in closed
-    form.
+    The matrix is the block matrix ``[[rr, rz], [zr, zz]]``: radial
+    velocity rows over axial velocity rows, radial traction unknowns
+    before axial ones.  One rule table integrates every pair of
+    collocation element ``i`` and source element ``j``; the signed gap
+    ``d = j - i`` picks the rule, which splits element ``j`` into Gauss
+    panels.  Pairs ``_FAR_GAP`` or more apart use half the Gauss order of
+    the nearer regular pairs; the neighbours are subdivided with panels
+    graded toward the collocation point; the self element splits at the
+    collocation point and subtracts the logarithmic singularity, which is
+    integrated in closed form.
 
     On a mirrored mesh only the rows of the first ``ceil(n/2)`` elements
     are assembled, and element ``j`` is folded with its mirror image
     ``n-1-j``: ``q_z`` is even and ``q_r`` odd under the mirror.  The
-    result is the ``n x n`` block matrix ``[[rr, rz], [zr, zz]]`` over the
-    ``n // 2`` radial and ``ceil(n/2)`` axial unknowns; for odd ``n`` the
-    middle element has neither a radial unknown nor a radial row.
+    ``n x n`` result then has ``n // 2`` radial and ``ceil(n/2)`` axial
+    unknowns; for odd ``n`` the middle element has neither a radial
+    unknown nor a radial row.
     """
     if quad_order < 2 or self_order < 2:
         raise ValueError("quadrature orders must be at least 2")
     n = mesh.n_elements
     rows = (n + 1) // 2 if mesh.mirrored else n
-    mids = mesh.midpoints_arc
-    half = 0.5 * mesh.widths
-    rc = mesh.midpoint_r
-    zc = mesh.midpoint_z
-    blocks = np.empty((4, rows, n))  # rr, rz, zr, zz over (row, element)
-
-    def integrate(i_idx, j_idx, r_k, z_k, meas):
-        # Pair p is row i_idx[p] against the source nodes r_k[p, ...].
-        shape = i_idx.shape + (1,) * (r_k.ndim - 1)
-        kernel = ring_stokeslet(
-            rc[i_idx].reshape(shape), zc[i_idx].reshape(shape), r_k, z_k
-        )
-        axes = tuple(range(1, r_k.ndim))
-        blocks[:, i_idx, j_idx] = [(m * meas).sum(axis=axes) for m in kernel]
-
-    # --- regular blocks: pairs two or more elements apart
-    gap = np.abs(np.arange(rows)[:, None] - np.arange(n)[None, :])
-    regular = (
-        (gap >= _FAR_GAP, max(2, quad_order // 2)),
-        ((gap > 1) & (gap < _FAR_GAP), quad_order),
+    rc = mesh.midpoint_r[:, None, None]
+    zc = mesh.midpoint_z[:, None, None]
+    d = np.arange(n)[None, :] - np.arange(rows)[:, None]
+    gap = np.abs(d)
+    # (pairs kept, panel edges as fractions of element j, Gauss order)
+    rules = (
+        (gap >= _FAR_GAP, (0.0, 1.0), max(2, quad_order // 2)),
+        ((gap >= 2) & (gap < _FAR_GAP), (0.0, 1.0), quad_order),
+        (d == 1, (0.0, 0.125, 0.25, 0.5, 1.0), quad_order),
+        (d == -1, (0.0, 0.5, 0.75, 0.875, 1.0), quad_order),
+        (d == 0, (0.0, 0.5, 1.0), self_order),
     )
-    for keep, order in regular:
+    blocks = np.empty((4, rows, n))  # rr, rz, zr, zz over (row, element)
+    for keep, fractions, order in rules:
         i_idx, j_idx = np.nonzero(keep)
         xi, wq = _gauss(order)
-        _, r_k, z_k, meas = _source_nodes(mesh, mids, half, xi, wq)
-        integrate(i_idx, j_idx, r_k[j_idx], z_k[j_idx], meas[j_idx])
+        # Gauss nodes on the panels of every source element up to the last kept.
+        used = slice(j_idx.max(initial=0) + 1)
+        edges = mesh.element_bounds[used, None] + mesh.widths[used, None] * fractions
+        half = 0.5 * np.diff(edges, axis=1)[..., None]
+        nodes = 0.5 * (edges[:, :-1] + edges[:, 1:])[..., None] + half * xi
+        weights = half * wq
+        r_raw, z_k = mesh.meridian(nodes)
+        # Interpolant overshoot can dip below the axis right at the poles;
+        # those nodes carry (clipped) zero measure, so pad the kernel radius.
+        measure = (np.clip(r_raw, 0.0, None) * weights)[j_idx]
+        kernel = ring_stokeslet(
+            rc[i_idx], zc[i_idx], np.maximum(r_raw, 1e-14)[j_idx], z_k[j_idx]
+        )
+        blocks[:, i_idx, j_idx] = [(m * measure).sum(axis=(1, 2)) for m in kernel]
 
-    # --- neighbour blocks: graded composite panels toward the shared end
-    xi, wq = _gauss(quad_order)
-    frac = _NEIGHBOR_FRACTIONS
-    for offset in (1, -1):
-        i_idx = np.arange(max(0, -offset), min(rows, n - offset))
-        j_idx = i_idx + offset
-        starts = mesh.element_bounds[j_idx]
-        w_j = mesh.widths[j_idx]
-        if offset == 1:
-            edges = starts[:, None] + w_j[:, None] * frac[None, :]
-        else:
-            rev = (1.0 - frac)[::-1]
-            edges = starts[:, None] + w_j[:, None] * rev[None, :]
-        centers = 0.5 * (edges[:, :-1] + edges[:, 1:])
-        halfwidths = 0.5 * np.diff(edges, axis=1)
-        _, r_kn, z_kn, meas_n = _source_nodes(mesh, centers, halfwidths, xi, wq)
-        integrate(i_idx, j_idx, r_kn, z_kn, meas_n)
-
-    # --- self blocks: split at the collocation point, subtract the log
-    xi_s, wq_s = _gauss(self_order)
-    bounds = mesh.element_bounds[: rows + 1]
-    own = mids[:rows]
-    quarter = 0.25 * mesh.widths[:rows]
-    centers = np.stack([0.5 * (bounds[:-1] + own), 0.5 * (own + bounds[1:])], axis=1)
-    halfwidths = np.stack([quarter, quarter], axis=1)
-    nodes, r_ks, z_ks, meas_s = _source_nodes(mesh, centers, halfwidths, xi_s, wq_s)
+    # The loop ends on the self rule.  The kernel times the ring radius
+    # behaves as -2 log(distance) at the collocation point, for the rr and
+    # zz components alike; swap that term's quadrature for its closed form.
+    own = mesh.midpoints_arc[:rows, None, None]
+    log_quad = 2.0 * (weights * np.log(np.abs(nodes - own))).sum(axis=(-2, -1))
+    width = mesh.widths[:rows]
+    log_exact = 2.0 * width * (np.log(0.5 * width) - 1.0)
     diag = np.arange(rows)
-    integrate(diag, diag, r_ks, z_ks, meas_s)
-    weights_s = halfwidths[..., None] * wq_s  # plain dl weights for the log term
-    log_term = np.log(np.abs(nodes - own[:, None, None]))
-    # The kernel times the ring radius behaves as -2 log(distance) at the
-    # collocation point, for the rr and zz components alike.
-    log_quad = 2.0 * (weights_s * log_term).sum(axis=(-2, -1))
-    log_exact = 2.0 * mesh.widths[:rows] * (np.log(0.5 * mesh.widths[:rows]) - 1.0)
     blocks[0::3, diag, diag] += log_quad - log_exact
+    blocks *= 1.0 / (8.0 * np.pi)
 
-    b_rr, b_rz, b_zr, b_zz = blocks * (1.0 / (8.0 * np.pi))
+    k = n // 2 if mesh.mirrored else n  # radial unknowns
+    radial = axial = blocks
     if mesh.mirrored:
-        k = n // 2
-
-        def odd(b):
-            return b[:, :k] - b[:, ::-1][:, :k]
-
-        def even(b):
-            folded = b[:, :rows].copy()
-            folded[:, :k] += b[:, ::-1][:, :k]
-            return folded
-
-        return np.block([[odd(b_rr[:k]), even(b_rz[:k])], [odd(b_zr), even(b_zz)]])
-    matrix = np.empty((2 * n, 2 * n))
-    matrix[0::2, 0::2] = b_rr
-    matrix[0::2, 1::2] = b_rz
-    matrix[1::2, 0::2] = b_zr
-    matrix[1::2, 1::2] = b_zz
-    return matrix
+        flip = blocks[..., ::-1][..., :k]
+        radial = blocks[..., :k] - flip
+        axial = blocks[..., :rows].copy()
+        axial[..., :k] += flip
+    return np.block([[radial[0, :k], axial[1, :k]], [radial[2], axial[3]]])
 
 
 def solve_tractions(
@@ -484,20 +442,15 @@ def solve_tractions(
     """
     matrix = assemble_single_layer(mesh, quad_order, self_order)
     n = mesh.n_elements
-    if not mesh.mirrored:
-        rhs = np.zeros(2 * n)
-        rhs[1::2] = 1.0
-        solution = np.linalg.solve(matrix, rhs)
-        return solution[0::2], solution[1::2]
-    k = n // 2
-    rhs = np.zeros(n)
+    k = n // 2 if mesh.mirrored else n  # radial unknowns
+    rhs = np.zeros(matrix.shape[0])
     rhs[k:] = 1.0
     solution = np.linalg.solve(matrix, rhs)
     q_r, q_z = solution[:k], solution[k:]
-    return (
-        np.concatenate([q_r, np.zeros(n - 2 * k), -q_r[::-1]]),
-        np.concatenate([q_z, q_z[:k][::-1]]),
-    )
+    if mesh.mirrored:
+        q_r = np.concatenate([q_r, np.zeros(n - 2 * k), -q_r[::-1]])
+        q_z = np.concatenate([q_z, q_z[:k][::-1]])
+    return q_r, q_z
 
 
 @dataclass(frozen=True)

@@ -134,7 +134,7 @@ def test_curve_validation():
     with pytest.raises(ValueError):
         build_airfoil_curve(centered_points(), samples_per_segment=1)
     with pytest.raises(ValueError, match="close"):
-        AirfoilCurve(np.array([[0.0, 0.0], [1.0, 0.0]]), 1)
+        AirfoilCurve(np.array([[0.0, 0.0], [1.0, 0.0]]))
 
 
 def test_full_sharpness_aligns_tangent_with_incoming_chord():
@@ -159,14 +159,14 @@ def square(side=1.0):
     pts = np.array(
         [[0, 0], [side, 0], [side, side], [0, side], [0, 0]], dtype=float
     )
-    return AirfoilCurve(pts, 1)
+    return AirfoilCurve(pts)
 
 
 def figure_eight():
     pts = np.array(
         [[0, 0], [1, 1], [1, 0], [0, 1], [0, 0]], dtype=float
     )
-    return AirfoilCurve(pts, 1)
+    return AirfoilCurve(pts)
 
 
 def test_simple_polyline_classification():
@@ -179,7 +179,7 @@ def test_touching_counts_as_intersecting():
     pts = np.array(
         [[0, 0], [2, 0], [2, 1], [1, 0], [0, 1], [0, 0]], dtype=float
     )
-    assert not is_simple(AirfoilCurve(pts, 1))
+    assert not is_simple(AirfoilCurve(pts))
 
 
 def test_centered_oval_is_simple():

@@ -1,7 +1,16 @@
 """Config validation, run artifacts, resume, compare, sweep, evaluate, exits."""
 
+import contextlib
+import io
 import json
 import math
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -235,6 +244,54 @@ def test_parse_config_returns_settings_or_config_error(doc):
     assert parsed.problem in PROBLEMS and parsed.optimizer in OPTIMIZERS
 
 
+# Documents that run in milliseconds when valid: each key has a small valid
+# value, and up to two keys take a fuzzed one.  Sizes are fuzzed only among
+# small values, so a fuzzed budget or population cannot make a run long.
+CHEAP_VALID = {
+    "optimizer": st.sampled_from(["mock", "ga"]),
+    "budget": st.integers(1, 2),
+    "population_size": st.integers(1, 3),
+    "dimension": st.integers(1, 3),
+    "n_ini": st.integers(1, 2),
+    "sigma": st.none() | st.floats(1e-3, 1.0),
+    "top_generations": st.integers(0, 2),
+    "recent_generations": st.integers(1, 2),
+    "designs_per_generation": st.integers(1, 3),
+    "seeds": st.lists(st.integers(0, 5), min_size=1, max_size=2, unique=True),
+}
+SIZES = ("budget", "population_size", "dimension")
+SMALL_JUNK = st.integers(-1, 3) | st.sampled_from([None, True, 1.5, "2", [], {}])
+
+
+@st.composite
+def cheap_run_docs(draw):
+    doc = {"problem": "analytic_test"}
+    doc.update({name: draw(valid) for name, valid in CHEAP_VALID.items()})
+    fuzzed = st.lists(st.sampled_from([*CHEAP_VALID, "target", "ga"]), max_size=2)
+    for name in draw(fuzzed):
+        doc[name] = draw(SMALL_JUNK if name in SIZES else JSON_VALUES)
+    return doc
+
+
+@settings(max_examples=100, deadline=None)
+@given(doc=cheap_run_docs(), blocked=st.booleans())
+def test_main_run_exits_0_or_2_without_traceback(doc, blocked):
+    with tempfile.TemporaryDirectory() as tmp:
+        blocker = Path(tmp) / "blocker"
+        blocker.write_text("a regular file, not a directory\n")
+        doc["output_dir"] = str((blocker if blocked else Path(tmp)) / "runs")
+        config = Path(tmp) / "config.json"
+        config.write_text(json.dumps(doc))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["run", "--config", str(config)])
+    assert code in (EXIT_OK, EXIT_CONFIG)
+    assert code == EXIT_CONFIG or not blocked, "a run wrote through a regular file"
+    if code == EXIT_CONFIG:
+        assert err.getvalue().startswith("config error: ")
+        assert err.getvalue().count("\n") == 1
+
+
 def test_load_config_errors(tmp_path):
     with pytest.raises(ConfigError, match="cannot read"):
         cli.load_config(tmp_path / "missing.json")
@@ -432,6 +489,60 @@ def test_failed_config_write_keeps_the_old_file(tmp_path, monkeypatch):
     assert {path.name: path.read_bytes() for path in run_dir.iterdir()} == before
 
 
+def blocked_path(tmp_path, *parts):
+    """A path that passes through a regular file, so no directory can hold it."""
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    return str(blocker.joinpath(*parts))
+
+
+def test_unusable_output_dir_exits_2(tmp_path, capsys):
+    out = blocked_path(tmp_path, "runs")
+    config = write_config(tmp_path, {**ANALYTIC, "output_dir": out})
+    assert run_cli("run", "--config", config) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and out in err
+
+
+def test_compare_to_unusable_path_exits_2(tmp_path, capsys):
+    run = make_run(tmp_path, "method_a", [0])
+    out = blocked_path(tmp_path, "x.csv")
+    assert run_cli("compare", "--runs", str(run), "--out", out) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and out in err
+
+
+def test_evaluate_to_unusable_path_exits_2(tmp_path, capsys):
+    config = write_config(tmp_path, ANALYTIC)
+    out = blocked_path(tmp_path, "r.json")
+    code = run_cli("evaluate", "--config", config, "--design", "0.3,0.3", "--out", out)
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and out in err
+
+
+def test_failed_compare_write_keeps_the_old_file(tmp_path, monkeypatch):
+    run = make_run(tmp_path, "method_a", [0])
+    out = tmp_path / "report" / "comparison.csv"
+    assert run_cli("compare", "--runs", str(run), "--out", str(out)) == EXIT_OK
+    before = out.read_bytes()
+
+    class TornWriter:
+        def __init__(self, handle):
+            self.handle = handle
+
+        def writerow(self, row):
+            self.handle.write(",".join(map(str, row))[:7])
+            raise OSError("disk full")
+
+    monkeypatch.setattr(cli.csv, "writer", TornWriter)
+    with pytest.raises(OSError, match="disk full"):
+        run_cli("compare", "--runs", str(run), "--out", str(out))
+    # the old CSV is whole, and no temp file is left beside it
+    assert [p.name for p in out.parent.iterdir()] == ["comparison.csv"]
+    assert out.read_bytes() == before
+
+
 def test_resume_may_extend_the_budget(tmp_path):
     longer = write_config(tmp_path, {**ANALYTIC, "budget": 6}, "longer.json")
     run_cli("run", "--config", longer, "--out", str(tmp_path / "full"))
@@ -444,6 +555,46 @@ def test_resume_may_extend_the_budget(tmp_path):
     run_dir = tmp_path / "extended" / "seed_0"
     assert (run_dir / "records.jsonl").read_bytes() == (reference / "records.jsonl").read_bytes()
     assert json.loads((run_dir / "config.json").read_text())["budget"] == 6
+
+
+def test_killed_runs_resume_to_the_uninterrupted_bytes(tmp_path):
+    # The small axisym campaign of the acceptance resume test, with a budget
+    # that keeps the loop busy for about a second.
+    doc = {**AXISYM_TINY, "budget": 160, "population_size": 3}
+    config = write_config(tmp_path, doc)
+    # Every run uses one output directory, which config.json names.
+    out = tmp_path / "runs"
+    records = out / "seed_0" / "records.jsonl"
+    argv = [sys.executable, "-m", "shapeopt.cli", "run", "--config", config,
+            "--out", str(out)]
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])
+    )}
+
+    def finish(*extra):
+        done = subprocess.run(
+            argv + list(extra), env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        return {name: (out / "seed_0" / name).read_bytes()
+                for name in ("records.jsonl", "config.json")}
+
+    reference = finish()
+    # Delays count from the first record, so that they fall in the loop
+    # however long start-up takes; a late one may land after the run ends.
+    for delay in np.random.default_rng(2).uniform(0.0, 1.2, 5):
+        shutil.rmtree(out)
+        victim = subprocess.Popen(
+            argv, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL
+        )
+        deadline = time.monotonic() + 60
+        while not records.exists() and time.monotonic() < deadline:
+            time.sleep(0.005)
+        time.sleep(delay)
+        victim.kill()
+        victim.wait(timeout=60)
+        assert finish("--resume") == reference, f"kill at {delay:.2f} s"
 
 
 def test_ga_cli_matches_library_loop(tmp_path):

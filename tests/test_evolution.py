@@ -228,7 +228,7 @@ def test_selection_config_validation():
 
 def test_sampling_is_deterministic_and_clamped():
     b = Bounds.uniform(3, -1.0, 1.0)
-    state = SearchState(mean=np.zeros(3), sigma=5.0, generation=0, population_size=40)
+    state = SearchState(mean=np.zeros(3), sigma=5.0, population_size=40)
     a = sample_generation(state, b, generation_rng(1, 0))
     c = sample_generation(state, b, generation_rng(1, 0))
     assert np.array_equal(a, c)
@@ -237,9 +237,7 @@ def test_sampling_is_deterministic_and_clamped():
 
 def test_sampling_statistics():
     b = Bounds.uniform(2, -1.0, 1.0)
-    state = SearchState(
-        mean=np.zeros(2), sigma=0.1, generation=0, population_size=10000
-    )
+    state = SearchState(mean=np.zeros(2), sigma=0.1, population_size=10000)
     samples = sample_generation(state, b, np.random.default_rng(0))
     assert np.all(np.abs(samples.mean(axis=0)) < 0.004)  # 4 sigma / sqrt(N)
 
@@ -247,14 +245,14 @@ def test_sampling_statistics():
 def test_sampling_tiny_sigma_degenerates_to_mean():
     b = Bounds.uniform(2, -1.0, 1.0)
     mean = np.array([0.3, -0.7])
-    state = SearchState(mean=mean, sigma=1e-300, generation=0, population_size=5)
+    state = SearchState(mean=mean, sigma=1e-300, population_size=5)
     samples = sample_generation(state, b, np.random.default_rng(0))
     assert np.allclose(samples, mean, atol=1e-12)
 
 
 def test_sampling_mean_out_of_bounds():
     b = Bounds.uniform(1, -1.0, 1.0)
-    state = SearchState(mean=np.array([2.0]), sigma=0.1, generation=0, population_size=2)
+    state = SearchState(mean=np.array([2.0]), sigma=0.1, population_size=2)
     with pytest.raises(ValueError):
         sample_generation(state, b, np.random.default_rng(0))
 
