@@ -6,7 +6,8 @@ inside its sector, and a sharpness factor that blends the tangent
 direction between the two neighbor chords.  Cubic Bézier segments join
 consecutive points into a closed curve.  Aerodynamic scores come from an
 external flow evaluator through a file-based subprocess protocol; this
-module only shapes, validates, serializes, and rewards.
+module only shapes, validates, serializes, and rewards.  An evaluator run
+that yields no usable result raises EvaluatorError saying why.
 """
 
 from __future__ import annotations
@@ -27,12 +28,10 @@ SECTOR_HALF_WIDTH = math.pi / 8
 N_CONTROL_POINTS = 4
 FAILURE_REWARD = -5.0
 
-STATUS_OK = "ok"
-STATUS_FAILED = "failed"
-
 __all__ = [
     "AirfoilCurve",
     "EvaluatorConfig",
+    "EvaluatorError",
     "FAILURE_REWARD",
     "FlowPerformance",
     "N_CONTROL_POINTS",
@@ -45,7 +44,6 @@ __all__ = [
     "params_to_polar",
     "polar_to_params",
     "read_result_file",
-    "relative_ratio",
     "sector_interval",
     "shaped_reward",
     "tangent_angle_at_point",
@@ -90,7 +88,6 @@ class FlowPerformance:
     lift: float
     drag: float
     ratio: float
-    status: str = STATUS_OK
 
 
 def sector_interval(index: int) -> tuple[float, float]:
@@ -242,23 +239,8 @@ def is_simple(curve: AirfoilCurve) -> bool:
     return not bool(np.any(touching))
 
 
-def relative_ratio(
-    perf: FlowPerformance, baseline_ratio: float = 0.0
-) -> float | None:
-    """Design ratio minus the reference-body ratio; None when it failed."""
-    if perf.status != STATUS_OK:
-        return None
-    return perf.ratio - baseline_ratio
-
-
-def shaped_reward(value: float | None) -> float:
-    """Asymmetric reward shaping: doubled gains, raw losses, fixed penalty.
-
-    Positive inputs are doubled, non-positive ones pass through, and a
-    failure (None or NaN) maps to the fixed penalty.
-    """
-    if value is None or (isinstance(value, float) and math.isnan(value)):
-        return FAILURE_REWARD
+def shaped_reward(value: float) -> float:
+    """Asymmetric reward shaping: gains are doubled, losses pass through."""
     value = float(value)
     return 2.0 * value if value > 0.0 else value
 
@@ -270,18 +252,16 @@ def write_geometry_file(path: str | Path, curve: AirfoilCurve) -> None:
 
 
 def read_result_file(path: str | Path) -> FlowPerformance:
-    """Parse the evaluator's JSON result: {lift, drag, ratio}."""
+    """Parse the evaluator's JSON result: {lift, drag, ratio}, all finite."""
     with open(path, encoding="utf-8") as handle:
         payload = json.load(handle)
     try:
-        return FlowPerformance(
-            lift=float(payload["lift"]),
-            drag=float(payload["drag"]),
-            ratio=float(payload["ratio"]),
-            status=STATUS_OK,
-        )
+        values = [float(payload[key]) for key in ("lift", "drag", "ratio")]
+        if not all(math.isfinite(v) for v in values):
+            raise ValueError(f"non-finite value in {values}")
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed result file {path}: {exc}") from exc
+    return FlowPerformance(*values)
 
 
 @dataclass
@@ -293,9 +273,9 @@ class EvaluatorConfig:
     timeout: float | None = 300.0
     baseline_ratio: float = 0.0
 
-    def __post_init__(self) -> None:
-        if isinstance(self.command, str):
-            self.command = [self.command]
+
+class EvaluatorError(Exception):
+    """One evaluator run gave no usable result for its design."""
 
 
 def external_evaluate(curve: AirfoilCurve, cfg: EvaluatorConfig) -> FlowPerformance:
@@ -303,12 +283,12 @@ def external_evaluate(curve: AirfoilCurve, cfg: EvaluatorConfig) -> FlowPerforma
 
     Writes the geometry file, invokes
     ``<command> <geometry-path> --re <Re> --out <result-path>``, and parses
-    the JSON result.  Nonzero exit, timeout, and malformed output all
-    return failed performance (the penalty path), never raise.
+    the JSON result.  A nonzero exit, a timeout, or a missing, malformed
+    or non-finite result raises EvaluatorError; a command that cannot be
+    started raises OSError.
     """
     if not cfg.command:
         raise ValueError("no evaluator command configured")
-    failed = FlowPerformance(math.nan, math.nan, math.nan, status=STATUS_FAILED)
     with tempfile.TemporaryDirectory(prefix="airfoil-eval-") as scratch:
         geometry = Path(scratch) / "geometry.txt"
         result = Path(scratch) / "result.json"
@@ -325,11 +305,11 @@ def external_evaluate(curve: AirfoilCurve, cfg: EvaluatorConfig) -> FlowPerforma
             proc = subprocess.run(
                 argv, capture_output=True, timeout=cfg.timeout, check=False
             )
-        except (subprocess.TimeoutExpired, OSError):
-            return failed
+        except subprocess.TimeoutExpired as exc:
+            raise EvaluatorError(f"timed out after {cfg.timeout:g} s") from exc
         if proc.returncode != 0:
-            return failed
+            raise EvaluatorError(f"exited with code {proc.returncode}")
         try:
             return read_result_file(result)
-        except (OSError, ValueError, json.JSONDecodeError):
-            return failed
+        except (OSError, ValueError) as exc:
+            raise EvaluatorError(f"no usable result: {exc}") from exc

@@ -26,9 +26,12 @@ import numpy as np
 from .airfoil import EvaluatorConfig
 from .axisym import GeometricConstraint, export_profile_csv
 from .evolution import (
+    STATUS_FAILED,
+    STATUS_OK,
     AskStrategy,
     Bounds,
     EsConfig,
+    EvaluationFailed,
     EvaluatorFatal,
     GaussianSearch,
     ProposerError,
@@ -269,7 +272,7 @@ def make_problem(settings: RunSettings):
         )
     if settings.problem == "airfoil":
         evaluator = EvaluatorConfig(
-            command=list(params["evaluator_command"]),
+            command=params["evaluator_command"],
             reynolds=params["reynolds"],
             timeout=params["evaluator_timeout"],
             baseline_ratio=params["baseline_ratio"],
@@ -693,10 +696,19 @@ def cmd_evaluate(
         "design": [float(v) for v in design],
         "encoded": [int(v) for v in encode_design(design, problem.bounds)],
     }
-    if isinstance(problem, AxisymDragProblem):
-        score, profile, drag = problem.evaluate_detail(design)
+    profile = None
+    try:
+        if isinstance(problem, AxisymDragProblem):
+            score, profile, drag = problem.evaluate_detail(design)
+        else:
+            score = float(problem.evaluate(design))
+        report.update(status=STATUS_OK, score=score)
+    except EvaluationFailed as exc:
         report.update(
-            score=score,
+            status=STATUS_FAILED, score=float(problem.penalty_score), error=str(exc)
+        )
+    if profile is not None:
+        report.update(
             normalized_drag=drag.normalized,
             drag_force=drag.drag,
             n_elements=drag.n_elements,
@@ -711,8 +723,6 @@ def cmd_evaluate(
             with _replacing(Path(traction_out)) as tmp:
                 export_traction_csv(mesh, q_r, q_z, tmp)
             report["traction_csv"] = traction_out
-    else:
-        report["score"] = float(problem.evaluate(design))
     if out is None:
         sys.stdout.write(json.dumps(report, indent=2) + "\n")
     else:

@@ -147,7 +147,8 @@ class AirfoilProblem:
 
     The design vector concatenates the (p, q, m) triples of the free
     control points; the remaining points sit at their sector centers.
-    Entangled profiles and failed evaluations score the fixed penalty.
+    Entangled profiles and failed evaluations score the fixed penalty; an
+    evaluator that cannot be started aborts the run.
     """
 
     n_free_points: int = 3
@@ -208,9 +209,10 @@ class AirfoilProblem:
         if self.evaluator is None or not self.evaluator.command:
             raise EvaluatorFatal("no flow evaluator configured")
         curve = self.curve(x)
-        perf = af.external_evaluate(curve, self.evaluator)
-        if perf.status != af.STATUS_OK:
-            raise EvaluationFailed("flow evaluation failed")
-        return af.shaped_reward(
-            af.relative_ratio(perf, self.evaluator.baseline_ratio)
-        )
+        try:
+            perf = af.external_evaluate(curve, self.evaluator)
+        except af.EvaluatorError as exc:
+            raise EvaluationFailed(f"flow evaluation failed: {exc}") from exc
+        except OSError as exc:
+            raise EvaluatorFatal(f"cannot start flow evaluator: {exc}") from exc
+        return af.shaped_reward(perf.ratio - self.evaluator.baseline_ratio)

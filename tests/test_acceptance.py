@@ -236,7 +236,6 @@ def test_airfoil_parameterization_contracts():
     # reward branch table
     assert shaped_reward(0.5) == 1.0
     assert shaped_reward(-0.3) == -0.3
-    assert shaped_reward(None) == -5.0
 
 
 def test_ga_and_search_loop_share_record_formats(tmp_path):

@@ -19,14 +19,13 @@ from shapeopt.airfoil import (
     SECTOR_SPACING,
     AirfoilCurve,
     EvaluatorConfig,
-    FlowPerformance,
+    EvaluatorError,
     build_airfoil_curve,
     external_evaluate,
     is_simple,
     params_to_polar,
     polar_to_params,
     read_result_file,
-    relative_ratio,
     sector_interval,
     shaped_reward,
     tangent_angle_at_point,
@@ -216,8 +215,7 @@ def test_reward_table():
     assert shaped_reward(0.5) == 1.0
     assert shaped_reward(-0.3) == -0.3
     assert shaped_reward(0.0) == 0.0
-    assert shaped_reward(None) == FAILURE_REWARD == -5.0
-    assert shaped_reward(math.nan) == -5.0
+    assert FAILURE_REWARD == -5.0
 
 
 @settings(max_examples=100, deadline=None)
@@ -225,14 +223,6 @@ def test_reward_table():
 def test_reward_monotone(a, b):
     if a <= b:
         assert shaped_reward(a) <= shaped_reward(b)
-
-
-def test_relative_ratio():
-    ok = FlowPerformance(lift=2.0, drag=1.0, ratio=2.0)
-    assert relative_ratio(ok, baseline_ratio=0.5) == 1.5
-    failed = FlowPerformance(math.nan, math.nan, math.nan, status="failed")
-    assert relative_ratio(failed) is None
-    assert shaped_reward(relative_ratio(failed)) == -5.0
 
 
 # ------------------------------------------------------------------ file io
@@ -254,7 +244,6 @@ def test_read_result_file(tmp_path):
     path.write_text(json.dumps({"lift": 1.5, "drag": 0.5, "ratio": 3.0}))
     perf = read_result_file(path)
     assert (perf.lift, perf.drag, perf.ratio) == (1.5, 0.5, 3.0)
-    assert perf.status == "ok"
 
 
 def test_read_result_file_malformed(tmp_path):
@@ -265,6 +254,11 @@ def test_read_result_file_malformed(tmp_path):
     path.write_text(json.dumps({"lift": "a", "drag": "b", "ratio": None}))
     with pytest.raises(ValueError):
         read_result_file(path)
+    # json reads NaN, Infinity and an overflowing literal as non-finite floats
+    for ratio in ("NaN", "Infinity", "1e999"):
+        path.write_text(f'{{"lift": 1.5, "drag": 0.5, "ratio": {ratio}}}')
+        with pytest.raises(ValueError, match="malformed result file"):
+            read_result_file(path)
 
 
 # --------------------------------------------------------- external process
@@ -292,7 +286,6 @@ def test_external_evaluate_round_trip(tmp_path):
     curve = build_airfoil_curve(centered_points())
     cfg = EvaluatorConfig(command=write_stub(tmp_path, STUB_OK), reynolds=250.0)
     perf = external_evaluate(curve, cfg)
-    assert perf.status == "ok"
     assert perf.drag == 250.0  # --re made the round trip
     reference = tmp_path / "reference.txt"
     write_geometry_file(reference, curve)
@@ -302,8 +295,8 @@ def test_external_evaluate_round_trip(tmp_path):
 
 def test_external_evaluate_nonzero_exit(tmp_path):
     cfg = EvaluatorConfig(command=write_stub(tmp_path, "raise SystemExit(1)"))
-    perf = external_evaluate(build_airfoil_curve(centered_points()), cfg)
-    assert perf.status == "failed" and math.isnan(perf.ratio)
+    with pytest.raises(EvaluatorError, match="exited with code 1"):
+        external_evaluate(build_airfoil_curve(centered_points()), cfg)
 
 
 def test_external_evaluate_malformed_output(tmp_path):
@@ -312,28 +305,28 @@ def test_external_evaluate_malformed_output(tmp_path):
         "open(sys.argv[sys.argv.index('--out') + 1], 'w').write('not json')\n"
     )
     cfg = EvaluatorConfig(command=write_stub(tmp_path, body))
-    perf = external_evaluate(build_airfoil_curve(centered_points()), cfg)
-    assert perf.status == "failed"
+    with pytest.raises(EvaluatorError, match="no usable result"):
+        external_evaluate(build_airfoil_curve(centered_points()), cfg)
 
 
 def test_external_evaluate_missing_output(tmp_path):
     cfg = EvaluatorConfig(command=write_stub(tmp_path, "pass"))
-    perf = external_evaluate(build_airfoil_curve(centered_points()), cfg)
-    assert perf.status == "failed"
+    with pytest.raises(EvaluatorError, match="no usable result"):
+        external_evaluate(build_airfoil_curve(centered_points()), cfg)
 
 
 def test_external_evaluate_timeout(tmp_path):
     cfg = EvaluatorConfig(
         command=write_stub(tmp_path, "import time; time.sleep(60)"), timeout=0.5
     )
-    perf = external_evaluate(build_airfoil_curve(centered_points()), cfg)
-    assert perf.status == "failed"
+    with pytest.raises(EvaluatorError, match="timed out after 0.5 s"):
+        external_evaluate(build_airfoil_curve(centered_points()), cfg)
 
 
 def test_external_evaluate_missing_binary():
     cfg = EvaluatorConfig(command=["/nonexistent/evaluator"])
-    perf = external_evaluate(build_airfoil_curve(centered_points()), cfg)
-    assert perf.status == "failed"
+    with pytest.raises(OSError):
+        external_evaluate(build_airfoil_curve(centered_points()), cfg)
 
 
 def test_external_evaluate_requires_command():

@@ -791,7 +791,7 @@ def test_evaluate_analytic_to_stdout(tmp_path, capsys):
     config = write_config(tmp_path, ANALYTIC)
     assert run_cli("evaluate", "--config", config, "--design", "0.3, 0.3") == EXIT_OK
     report = json.loads(capsys.readouterr().out)
-    assert report["score"] == 0.0
+    assert report["status"] == "ok" and report["score"] == 0.0
     assert report["encoded"] == [650, 650]
 
 
@@ -814,6 +814,36 @@ def test_evaluate_axisym_with_exports(tmp_path, capsys):
     assert report["score"] == -report["normalized_drag"]
     assert profile_path.read_text().splitlines()[0] == "s,r,z,phi"
     assert traction_path.read_text().splitlines()[0] == "s,f_r,f_z"
+
+
+def test_evaluate_axisym_failed_design_reports_penalty(tmp_path, capsys):
+    config = write_config(tmp_path, {**AXISYM_TINY, "K": 2})
+    profile_path = tmp_path / "profile.csv"
+    code = run_cli(
+        "evaluate", "--config", config, "--design", "1.0,0.0",
+        "--profile-out", str(profile_path),
+    )
+    assert code == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    report = json.loads(captured.out)
+    assert report["status"] == "failed"
+    assert report["score"] == AxisymDragProblem().penalty_score
+    assert "negative radius" in report["error"]
+    assert "profile_csv" not in report and not profile_path.exists()
+
+
+def test_evaluate_airfoil_failed_evaluator_reports_penalty(tmp_path, capsys):
+    stub = tmp_path / "stub.py"
+    stub.write_text("raise SystemExit(3)\n")
+    command = [sys.executable, str(stub)]
+    doc = {**AIRFOIL, "optimizer": "mock", "evaluator_command": command}
+    config = write_config(tmp_path, doc)
+    code = run_cli("evaluate", "--config", config, "--design", ",".join("0" * 9))
+    assert code == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert report["status"] == "failed" and report["score"] == -5.0
+    assert report["error"] == "flow evaluation failed: exited with code 3"
 
 
 def test_evaluate_rejects_bad_designs(tmp_path, capsys):
@@ -866,6 +896,24 @@ def test_missing_flow_solver_exits_4(tmp_path, capsys, monkeypatch):
     code = run_cli("run", "--config", config, "--out", str(tmp_path / "af"))
     assert code == EXIT_EVALUATOR
     assert "evaluator failure" in capsys.readouterr().err
+
+
+def test_evaluator_that_cannot_start_exits_4(tmp_path, capsys):
+    doc = {
+        **AIRFOIL,
+        "optimizer": "mock",
+        "budget": 2,
+        "population_size": 2,
+        "n_ini": 1,
+        "seeds": [0],
+        "evaluator_command": ["/nonexistent/evaluator"],
+    }
+    config = write_config(tmp_path, doc)
+    out = tmp_path / "af"
+    assert run_cli("run", "--config", config, "--out", str(out)) == EXIT_EVALUATOR
+    assert "evaluator failure" in capsys.readouterr().err
+    records = out / "seed_0" / "records.jsonl"
+    assert not records.exists() or records.read_text() == ""
 
 
 def test_airfoil_run_with_stub_evaluator(tmp_path):

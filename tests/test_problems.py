@@ -186,6 +186,9 @@ def test_airfoil_no_evaluator_is_fatal():
     problem = AirfoilProblem(n_free_points=3)
     with pytest.raises(EvaluatorFatal):
         problem.evaluate(np.zeros(9))
+    problem.evaluator = EvaluatorConfig(command=["/nonexistent/evaluator"])
+    with pytest.raises(EvaluatorFatal, match="cannot start"):
+        problem.evaluate(np.zeros(9))
 
 
 def test_airfoil_reward_via_stub(tmp_path):
@@ -203,6 +206,16 @@ def test_airfoil_failed_run_raises_evaluation_failed(tmp_path):
         n_free_points=3,
         evaluator=stub_evaluator(tmp_path, "raise SystemExit(3)"),
     )
-    with pytest.raises(EvaluationFailed):
+    with pytest.raises(
+        EvaluationFailed, match="flow evaluation failed: exited with code 3"
+    ):
         problem.evaluate(np.zeros(9))
     assert problem.penalty_score == -5.0
+
+
+def test_airfoil_non_finite_ratio_raises_evaluation_failed(tmp_path):
+    # json.dump writes a float nan as the bare token NaN
+    body = CONSTANT_RATIO.replace("0.5", "float('nan')")
+    problem = AirfoilProblem(n_free_points=3, evaluator=stub_evaluator(tmp_path, body))
+    with pytest.raises(EvaluationFailed, match="flow evaluation failed: no usable"):
+        problem.evaluate(np.zeros(9))
