@@ -27,6 +27,8 @@ SECTOR_SPACING = math.pi / 4  # angular distance between sector centers
 SECTOR_HALF_WIDTH = math.pi / 8
 N_CONTROL_POINTS = 4
 FAILURE_REWARD = -5.0
+# A failed evaluator's message quotes at most this much of its stderr.
+_STDERR_QUOTE_CHARS = 200
 
 __all__ = [
     "AirfoilCurve",
@@ -278,14 +280,24 @@ class EvaluatorError(Exception):
     """One evaluator run gave no usable result for its design."""
 
 
+def _last_stderr_line(stderr: bytes) -> str:
+    """The last non-empty line of ``stderr``, cut to ``_STDERR_QUOTE_CHARS``."""
+    lines = stderr.decode("utf-8", errors="replace").splitlines()
+    last = next((line.strip() for line in reversed(lines) if line.strip()), "")
+    if len(last) > _STDERR_QUOTE_CHARS:
+        last = last[: _STDERR_QUOTE_CHARS - 3] + "..."
+    return last
+
+
 def external_evaluate(curve: AirfoilCurve, cfg: EvaluatorConfig) -> FlowPerformance:
     """Run the external evaluator on one sampled curve.
 
     Writes the geometry file, invokes
     ``<command> <geometry-path> --re <Re> --out <result-path>``, and parses
     the JSON result.  A nonzero exit, a timeout, or a missing, malformed
-    or non-finite result raises EvaluatorError; a command that cannot be
-    started raises OSError.
+    or non-finite result raises EvaluatorError; after a nonzero exit its
+    message quotes the last line the evaluator wrote to stderr.  A command
+    that cannot be started raises OSError.
     """
     if not cfg.command:
         raise ValueError("no evaluator command configured")
@@ -308,7 +320,9 @@ def external_evaluate(curve: AirfoilCurve, cfg: EvaluatorConfig) -> FlowPerforma
         except subprocess.TimeoutExpired as exc:
             raise EvaluatorError(f"timed out after {cfg.timeout:g} s") from exc
         if proc.returncode != 0:
-            raise EvaluatorError(f"exited with code {proc.returncode}")
+            reason = f"exited with code {proc.returncode}"
+            last = _last_stderr_line(proc.stderr)
+            raise EvaluatorError(f"{reason}: {last}" if last else reason)
         try:
             return read_result_file(result)
         except (OSError, ValueError) as exc:

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-import requests
 
 from .evolution import (
     Bounds,
@@ -209,6 +208,9 @@ def _extract_text(body: object) -> str:
 
 def _http_transport(cfg: LlmConfig) -> Callable[[dict], str]:
     def send(payload: dict) -> str:
+        # Imported here: only runs that call an endpoint pay for loading it.
+        import requests
+
         headers = {"Content-Type": "application/json"}
         key = os.environ.get(cfg.api_key_env, "")
         if key:

@@ -16,10 +16,18 @@ One rule table integrates every element pair: the signed gap between
 source and collocation element picks the Gauss panels and order, with
 half the order ``_FAR_GAP`` or more elements apart, panels graded toward
 the neighbours, and the self-element log singularity subtracted and
-integrated analytically.  The dense system, in the one block layout
-``[[rr, rz], [zr, zz]]``, is solved directly, and drag is reported both
-raw (unit viscosity, unit stream speed) and normalized by the Stokes drag
-of the unit sphere.
+integrated analytically.  The table depends only on the element count,
+the mirror and the Gauss orders, so it is built once and cached, with
+its nodes as fractions of the source element.  Each solve then calls the
+kernel twice: once on the far pairs, about 88% of them at n = 120, and
+once on the flat node list of all nearer pairs.  The kernel evaluates
+the elliptic forms over the whole array and overwrites the small-m
+entries with their series.  On a 2-vCPU Xeon VM with BLAS on one thread,
+one ``evaluate`` at K = 2, n = 120 takes 6.5-6.9 ms, down from
+10.2-11.2 ms with one kernel call per rule.  The dense system, in the one
+block layout ``[[rr, rz], [zr, zz]]``, is solved directly, and drag is
+reported both raw (unit viscosity, unit stream speed) and normalized by
+the Stokes drag of the unit sphere.
 
 Meshes of the fore-aft symmetric profiles (``profile_to_mesh``) are
 marked mirrored.  In an axial stream ``q_z`` is then even and ``q_r`` odd
@@ -47,7 +55,6 @@ from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
-from numpy.polynomial.polynomial import polyvander
 from scipy.special import binom, ellipe, ellipk, ellipkm1
 
 from .axisym import BodyProfile
@@ -124,41 +131,51 @@ _SMALL_M_SERIES = np.stack(
 )
 
 
-def _ring_integrals(d_big, dsq, m):
+def _ring_integrals(dsq, big_dsq, m):
     """Azimuthal integrals I_pq = int cos^q(phi) / R^p dphi, p in {1, 3}.
 
     With R^2 = D^2 (1 - m cos^2 u) the integrals reduce to complete
-    elliptic integrals.  The reduced forms divide by m, so for small m
-    they are summed as power series instead.
+    elliptic integrals, evaluated over the whole array.  The reduced forms
+    divide by m, so where ``m <= _SMALL_M`` their values are overwritten
+    by power series in m.  The arguments share one shape; the work is done
+    in place where it can be, since these arrays are the solver's largest.
     """
-    big = m > _SMALL_M
-    i10 = np.empty_like(m)
-    i11 = np.empty_like(m)
-    i30 = np.empty_like(m)
-    i31 = np.empty_like(m)
+    one_m = dsq / big_dsq  # exact 1 - m, no cancellation
+    k = ellipkm1(one_m)  # K from 1 - m keeps its digits as m -> 1
+    e = ellipe(m)
+    e_om = np.divide(e, one_m, out=one_m)
+    two_m = 2.0 / m
+    scale = np.sqrt(big_dsq)
+    np.divide(4.0, scale, out=scale)  # 4 / D
+    i10 = k * scale
+    i11 = k - e  # 4 (2 (K - E) / m - K) / D
+    i11 *= two_m
+    i11 -= k
+    i11 *= scale
+    i30 = e * scale  # 4 E / (D dsq)
+    i30 /= dsq
+    i31 = np.subtract(e_om, k, out=k)  # 4 (2 (E_om - K) / m - E_om) / D^3
+    i31 *= two_m
+    i31 -= e_om
+    i31 *= scale
+    i31 /= big_dsq
 
-    if np.any(big):
-        mb = m[big]
-        db = d_big[big]
-        dsqb = dsq[big]
-        one_m = dsqb / (db * db)  # exact 1 - m, no cancellation
-        k = ellipkm1(one_m)  # K from 1 - m keeps its digits as m -> 1
-        e = ellipe(mb)
-        e_om = e / one_m
-        i10[big] = 4.0 * k / db
-        i11[big] = 4.0 * (2.0 * (k - e) / mb - k) / db
-        i30[big] = 4.0 * e / (db * dsqb)
-        i31[big] = 4.0 * (2.0 * (e_om - k) / mb - e_om) / (db * db * db)
-
-    small = ~big
-    if np.any(small):
-        ds = d_big[small]
-        dcubed = ds * ds * ds
-        series = polyvander(m[small], _SMALL_M_TERMS - 1) @ _SMALL_M_SERIES
-        i10[small] = 4.0 * series[:, 0] / ds
-        i11[small] = 4.0 * series[:, 1] / ds
-        i30[small] = 4.0 * series[:, 2] / dcubed
-        i31[small] = 4.0 * series[:, 3] / dcubed
+    small = np.flatnonzero(m <= _SMALL_M)
+    if small.size:
+        ms = np.take(m, small)
+        # Horner's rule, elementwise so that a point gets the same bits
+        # alone or in any array; one row per integral.
+        series = _SMALL_M_SERIES[-1, :, None] * ms
+        for coeffs in _SMALL_M_SERIES[-2:0:-1, :, None]:
+            series += coeffs
+            series *= ms
+        series += _SMALL_M_SERIES[0, :, None]
+        scale = np.take(scale, small)
+        np.put(i10, small, series[0] * scale)
+        np.put(i11, small, series[1] * scale)
+        scale /= np.take(big_dsq, small)
+        np.put(i30, small, series[2] * scale)
+        np.put(i31, small, series[3] * scale)
 
     return i10, i11, i30, i31
 
@@ -171,36 +188,38 @@ def ring_stokeslet(r, z, r0, z0):
     force component on the source ring ``(r0, z0)``.  The ring-radius
     factor of the surface measure is *not* included.  The kernel obeys the
     exchange symmetry ``M(x, x0) = M(x0, x)^T`` and develops a log
-    singularity as the points coalesce.
+    singularity as the points coalesce.  The arguments broadcast against
+    each other.
     """
-    r, z, r0, z0 = np.broadcast_arrays(
-        np.asarray(r, float), np.asarray(z, float),
-        np.asarray(r0, float), np.asarray(z0, float),
-    )
-    scalar = r.ndim == 0
-    r = np.atleast_1d(r)
-    z = np.atleast_1d(z)
-    r0 = np.atleast_1d(r0)
-    z0 = np.atleast_1d(z0)
+    r, z, r0, z0 = (np.asarray(a, dtype=float) for a in (r, z, r0, z0))
+    scalar = np.broadcast(r, z, r0, z0).ndim == 0
     if np.any(r <= 0.0) or np.any(r0 <= 0.0):
         raise ValueError("ring kernel requires strictly positive radii")
-    dz = z - z0
-    dsq = dz * dz + (r - r0) ** 2
+    dz = np.atleast_1d(z - z0)
+    dz2 = dz * dz
+    dr = r - r0
+    dsq = dr * dr + dz2
     if np.any(dsq == 0.0):
         raise ValueError("field and source points coincide")
-    big_dsq = dz * dz + (r + r0) ** 2
-    d_big = np.sqrt(big_dsq)
-    m = 4.0 * r * r0 / big_dsq
+    rr4 = 4.0 * r * r0
+    big_dsq = dsq + rr4  # dz^2 + (r + r0)^2
+    m = rr4 / big_dsq
 
-    i10, i11, i30, i31 = _ring_integrals(d_big, dsq, m)
+    i10, i11, i30, i31 = _ring_integrals(dsq, big_dsq, m)
 
-    m_zz = i10 + dz * dz * i30
-    m_zr = dz * (r * i31 - r0 * i30)
-    m_rz = dz * (r * i30 - r0 * i31)
+    m_zz = dz2 * i30
+    m_zz += i10
+    m_zr = r * i31
+    m_zr -= r0 * i30
+    m_zr *= dz
+    m_rz = r * i30
+    m_rz -= r0 * i31
+    m_rz *= dz
     # The rr integrand is [2 cos(phi) R^2 - dz^2 cos(phi) - r r0 sin^2(phi)]
     # / R^3, and by parts r r0 int sin^2(phi) / R^3 dphi = I11.  This form
     # has no terms that cancel as the points coalesce.
-    m_rr = i11 - dz * dz * i31
+    i31 *= dz2
+    m_rr = np.subtract(i11, i31, out=i11)
     if scalar:
         return float(m_rr[0]), float(m_rz[0]), float(m_zr[0]), float(m_zz[0])
     return m_rr, m_rz, m_zr, m_zz
@@ -354,6 +373,115 @@ def _gauss(order: int) -> tuple[np.ndarray, np.ndarray]:
     return rule
 
 
+def _panel_rule(edges, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss nodes and weights on the panels between ``edges`` in [0, 1]."""
+    xi, wq = _gauss(order)
+    edges = np.asarray(edges)
+    half = 0.5 * np.diff(edges)[:, None]
+    nodes = 0.5 * (edges[:-1] + edges[1:])[:, None] + half * xi
+    return nodes.ravel(), (half * wq).ravel()
+
+
+@dataclass(frozen=True)
+class _RuleTable:
+    """Quadrature of every element pair of one mesh size.
+
+    Node and weight positions are fractions of the source element, from
+    its start.  The far pairs share one rule, so they keep only their pair
+    indices.  The near rules' nodes are listed once per source element;
+    every near pair, in row-major order, takes its rule's run of them, and
+    its first entry in the flat node list is at ``near_starts``.
+    """
+
+    far: np.ndarray  # (row, element) mask of the far pairs
+    far_rows: np.ndarray  # row of every far pair, row-major
+    far_elements: np.ndarray  # source element of every far pair
+    far_nodes: np.ndarray
+    far_weights: np.ndarray
+    near: np.ndarray  # mask of the near pairs
+    near_nodes: np.ndarray  # all near rules' nodes on one element
+    near_weights: np.ndarray
+    near_sources: int  # elements 0 .. near_sources - 1 hold near nodes
+    near_rows: np.ndarray  # row of every flat node
+    near_index: np.ndarray  # flat index into a (near_sources, nodes) array
+    near_starts: np.ndarray
+    # Per unit width, the quadrature minus the closed form of the self
+    # element's -2 log(distance) term.
+    self_log: float
+
+
+@lru_cache(maxsize=8)
+def _rule_table(
+    n: int, mirrored: bool, quad_order: int, self_order: int
+) -> _RuleTable:
+    """The rule table of ``assemble_single_layer``; its arrays are read-only.
+
+    The signed gap ``d = j - i`` picks the rule of pair ``(i, j)``: half
+    the Gauss order ``_FAR_GAP`` or more apart, the full order nearer,
+    panels graded toward the collocation point for the neighbours, and
+    the self element split at its collocation point.
+    """
+    rows = (n + 1) // 2 if mirrored else n
+    d = np.arange(n)[None, :] - np.arange(rows)[:, None]
+    gap = np.abs(d)
+    far = gap >= _FAR_GAP
+    near = ~far
+    near_rules = (  # (panel edges as fractions of element j, Gauss order)
+        ((0.0, 0.5, 1.0), self_order),  # d = 0: split at the collocation point
+        ((0.0, 0.125, 0.25, 0.5, 1.0), quad_order),  # d = +1
+        ((0.0, 0.5, 0.75, 0.875, 1.0), quad_order),  # d = -1
+        ((0.0, 1.0), quad_order),  # 2 <= |d| < _FAR_GAP
+    )
+    rules = [_panel_rule(edges, order) for edges, order in near_rules]
+    sizes = np.array([nodes.size for nodes, _ in rules])
+    i, j = np.nonzero(near)
+    signed = d[i, j]
+    rule = np.select([signed == 0, signed == 1, signed == -1], [0, 1, 2], 3)
+    count = sizes[rule]
+    starts = np.cumsum(count) - count
+    pair = np.repeat(np.arange(i.size), count)
+    step = np.arange(pair.size) - starts[pair]  # node within its pair's rule
+    first = (np.cumsum(sizes) - sizes)[rule]  # the rule's run on one element
+    self_nodes, self_weights = rules[0]
+    # int_0^1 log|t - 1/2| dt = -log 2 - 1, so the difference is O(1) per
+    # unit width and free of cancellation.
+    log_quad = self_weights @ np.log(np.abs(self_nodes - 0.5))
+    far_nodes, far_weights = _panel_rule((0.0, 1.0), max(2, quad_order // 2))
+    far_rows, far_elements = np.nonzero(far)
+    table = _RuleTable(
+        far=far,
+        far_rows=far_rows.astype(np.int32),
+        far_elements=far_elements.astype(np.int32),
+        far_nodes=far_nodes,
+        far_weights=far_weights,
+        near=near,
+        near_nodes=np.concatenate([nodes for nodes, _ in rules]),
+        near_weights=np.concatenate([weights for _, weights in rules]),
+        near_sources=int(j.max()) + 1,
+        near_rows=i[pair].astype(np.int32),
+        near_index=(j[pair] * sizes.sum() + first[pair] + step).astype(np.int32),
+        near_starts=starts,
+        self_log=2.0 * float(log_quad + np.log(2.0) + 1.0),
+    )
+    for value in vars(table).values():
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+    return table
+
+
+def _source_rings(mesh: BoundaryMesh, fractions, weights, elements):
+    """Kernel radius, axial position and quadrature measure at Gauss nodes.
+
+    ``fractions`` and ``weights`` place the nodes on the source
+    ``elements`` they broadcast against, which sets the results' shape.
+    """
+    width = mesh.widths[elements]
+    r, z = mesh.meridian(mesh.element_bounds[elements] + fractions * width)
+    # Interpolant overshoot can dip below the axis right at the poles;
+    # those nodes carry (clipped) zero measure, so pad the kernel radius.
+    return np.maximum(r, 1e-14), z, np.clip(r, 0.0, None) * (weights * width)
+
+
 def assemble_single_layer(
     mesh: BoundaryMesh, quad_order: int = 8, self_order: int = 12
 ) -> np.ndarray:
@@ -361,14 +489,17 @@ def assemble_single_layer(
 
     The matrix is the block matrix ``[[rr, rz], [zr, zz]]``: radial
     velocity rows over axial velocity rows, radial traction unknowns
-    before axial ones.  One rule table integrates every pair of
-    collocation element ``i`` and source element ``j``; the signed gap
-    ``d = j - i`` picks the rule, which splits element ``j`` into Gauss
-    panels.  Pairs ``_FAR_GAP`` or more apart use half the Gauss order of
-    the nearer regular pairs; the neighbours are subdivided with panels
-    graded toward the collocation point; the self element splits at the
-    collocation point and subtracts the logarithmic singularity, which is
-    integrated in closed form.
+    before axial ones.  A rule table, built once per mesh size, integrates
+    every pair of collocation element ``i`` and source element ``j``; the
+    signed gap ``d = j - i`` picks the rule, which splits element ``j``
+    into Gauss panels.  Pairs ``_FAR_GAP`` or more apart use half the
+    Gauss order of the nearer regular pairs; the neighbours are subdivided
+    with panels graded toward the collocation point; the self element
+    splits at the collocation point and subtracts the logarithmic
+    singularity, which is integrated in closed form.  The kernel is called
+    twice: once on the far pairs' (node, pair) arrays, over which the
+    collocation points broadcast, and once on the flat node list of all
+    nearer pairs.
 
     On a mirrored mesh only the rows of the first ``ceil(n/2)`` elements
     are assembled, and element ``j`` is folded with its mirror image
@@ -381,46 +512,37 @@ def assemble_single_layer(
         raise ValueError("quadrature orders must be at least 2")
     n = mesh.n_elements
     rows = (n + 1) // 2 if mesh.mirrored else n
-    rc = mesh.midpoint_r[:, None, None]
-    zc = mesh.midpoint_z[:, None, None]
-    d = np.arange(n)[None, :] - np.arange(rows)[:, None]
-    gap = np.abs(d)
-    # (pairs kept, panel edges as fractions of element j, Gauss order)
-    rules = (
-        (gap >= _FAR_GAP, (0.0, 1.0), max(2, quad_order // 2)),
-        ((gap >= 2) & (gap < _FAR_GAP), (0.0, 1.0), quad_order),
-        (d == 1, (0.0, 0.125, 0.25, 0.5, 1.0), quad_order),
-        (d == -1, (0.0, 0.5, 0.75, 0.875, 1.0), quad_order),
-        (d == 0, (0.0, 0.5, 1.0), self_order),
-    )
+    table = _rule_table(n, mesh.mirrored, quad_order, self_order)
+    rc, zc = mesh.midpoint_r, mesh.midpoint_z
     blocks = np.empty((4, rows, n))  # rr, rz, zr, zz over (row, element)
-    for keep, fractions, order in rules:
-        i_idx, j_idx = np.nonzero(keep)
-        xi, wq = _gauss(order)
-        # Gauss nodes on the panels of every source element up to the last kept.
-        used = slice(j_idx.max(initial=0) + 1)
-        edges = mesh.element_bounds[used, None] + mesh.widths[used, None] * fractions
-        half = 0.5 * np.diff(edges, axis=1)[..., None]
-        nodes = 0.5 * (edges[:, :-1] + edges[:, 1:])[..., None] + half * xi
-        weights = half * wq
-        r_raw, z_k = mesh.meridian(nodes)
-        # Interpolant overshoot can dip below the axis right at the poles;
-        # those nodes carry (clipped) zero measure, so pad the kernel radius.
-        measure = (np.clip(r_raw, 0.0, None) * weights)[j_idx]
-        kernel = ring_stokeslet(
-            rc[i_idx], zc[i_idx], np.maximum(r_raw, 1e-14)[j_idx], z_k[j_idx]
-        )
-        blocks[:, i_idx, j_idx] = [(m * measure).sum(axis=(1, 2)) for m in kernel]
 
-    # The loop ends on the self rule.  The kernel times the ring radius
-    # behaves as -2 log(distance) at the collocation point, for the rr and
-    # zz components alike; swap that term's quadrature for its closed form.
-    own = mesh.midpoints_arc[:rows, None, None]
-    log_quad = 2.0 * (weights * np.log(np.abs(nodes - own))).sum(axis=(-2, -1))
-    width = mesh.widths[:rows]
-    log_exact = 2.0 * width * (np.log(0.5 * width) - 1.0)
+    # Far pairs: the nodes of every element once, taken pair by pair.
+    r0, z0, measure = _source_rings(
+        mesh, table.far_nodes[:, None], table.far_weights[:, None], np.arange(n)
+    )
+    i, j = table.far_rows, table.far_elements
+    kernel = ring_stokeslet(
+        rc.take(i), zc.take(i), r0.take(j, axis=1), z0.take(j, axis=1)
+    )
+    measure = measure.take(j, axis=1)
+    for block, m in zip(blocks, kernel):
+        block[table.far] = np.einsum("qp,qp->p", m, measure)
+
+    # Near pairs: one flat node list, summed pair by pair.
+    sources = np.arange(table.near_sources)[:, None]
+    r0, z0, measure = _source_rings(mesh, table.near_nodes, table.near_weights, sources)
+    i, node = table.near_rows, table.near_index
+    kernel = ring_stokeslet(rc.take(i), zc.take(i), r0.take(node), z0.take(node))
+    measure = measure.take(node)
+    for block, m in zip(blocks, kernel):
+        m *= measure
+        block[table.near] = np.add.reduceat(m, table.near_starts)
+
+    # The kernel times the ring radius behaves as -2 log(distance) at the
+    # collocation point, for the rr and zz components alike; swap that
+    # term's quadrature for its closed form.
     diag = np.arange(rows)
-    blocks[0::3, diag, diag] += log_quad - log_exact
+    blocks[0::3, diag, diag] += table.self_log * mesh.widths[:rows]
     blocks *= 1.0 / (8.0 * np.pi)
 
     k = n // 2 if mesh.mirrored else n  # radial unknowns

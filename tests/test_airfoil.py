@@ -299,6 +299,20 @@ def test_external_evaluate_nonzero_exit(tmp_path):
         external_evaluate(build_airfoil_curve(centered_points()), cfg)
 
 
+def test_external_evaluate_quotes_the_last_stderr_line(tmp_path):
+    body = (
+        "import sys\n"
+        "sys.stderr.write('warming up\\n' + 'x' * 500 + '\\n\\n  \\n')\n"
+        "raise SystemExit(2)\n"
+    )
+    cfg = EvaluatorConfig(command=write_stub(tmp_path, body))
+    with pytest.raises(EvaluatorError) as caught:
+        external_evaluate(build_airfoil_curve(centered_points()), cfg)
+    message = str(caught.value)
+    assert message.startswith("exited with code 2: xxx") and message.endswith("...")
+    assert len(message) == len("exited with code 2: ") + 200
+
+
 def test_external_evaluate_malformed_output(tmp_path):
     body = (
         "import sys\n"

@@ -557,6 +557,27 @@ def test_resume_may_extend_the_budget(tmp_path):
     assert json.loads((run_dir / "config.json").read_text())["budget"] == 6
 
 
+def test_run_without_llm_does_not_import_requests(tmp_path):
+    config = write_config(tmp_path, {**ANALYTIC, "output_dir": str(tmp_path / "run")})
+    script = f"""
+import sys
+from shapeopt.cli import main
+assert main(["run", "--config", {config!r}]) == 0
+assert "requests" not in sys.modules, "a mock run imported requests"
+"""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "run" / "seed_0" / "records.jsonl").exists()
+
+
 def test_killed_runs_resume_to_the_uninterrupted_bytes(tmp_path):
     # The small axisym campaign of the acceptance resume test, with a budget
     # that keeps the loop busy for about a second.
@@ -844,6 +865,22 @@ def test_evaluate_airfoil_failed_evaluator_reports_penalty(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["status"] == "failed" and report["score"] == -5.0
     assert report["error"] == "flow evaluation failed: exited with code 3"
+
+
+def test_evaluate_airfoil_report_quotes_the_evaluator_traceback(tmp_path, capsys):
+    stub = tmp_path / "stub.py"
+    stub.write_text("raise RuntimeError('mesh generation diverged')\n")
+    command = [sys.executable, str(stub)]
+    doc = {**AIRFOIL, "optimizer": "mock", "evaluator_command": command}
+    config = write_config(tmp_path, doc)
+    code = run_cli("evaluate", "--config", config, "--design", ",".join("0" * 9))
+    assert code == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert report["status"] == "failed" and report["score"] == -5.0
+    assert report["error"] == (
+        "flow evaluation failed: exited with code 1:"
+        " RuntimeError: mesh generation diverged"
+    )
 
 
 def test_evaluate_rejects_bad_designs(tmp_path, capsys):

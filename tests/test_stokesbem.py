@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from scipy.interpolate import CubicSpline
 from scipy.special import ellipe, ellipk
 
 import shapeopt
+from shapeopt import stokesbem
 from shapeopt.axisym import GeometricConstraint, integrate_profile, rescale_to_constraint
 from shapeopt.stokesbem import (
     MAX_ELEMENTS,
@@ -173,6 +175,19 @@ def test_kernel_log_singularity_slope():
     kernel = np.array([ring_stokeslet(r0, z0 + e, r0, z0) for e in eps])
     slopes = np.diff(kernel[:, [0, 3]], axis=0) / np.diff(np.log(eps))[:, None]
     assert np.allclose(slopes, -2.0, rtol=0.01)  # M_rr and M_zz alike
+
+
+def test_kernel_array_call_matches_scalar_calls():
+    # both sides of the series switch at m = 0.05, in one array call; the
+    # elliptic forms are evaluated everywhere and must stay quiet where the
+    # series overwrites them
+    m = np.array([1e-12, 0.049, 0.05, 0.051, 0.9])
+    dz = 2.0 * np.sqrt(1.0 / m - 1.0)  # unit rings: m = 4 / (4 + dz^2)
+    with np.errstate(all="raise"):
+        together = np.array(ring_stokeslet(1.0, dz, 1.0, 0.0))
+        alone = np.array([ring_stokeslet(1.0, h, 1.0, 0.0) for h in dz]).T
+    assert np.all(np.isfinite(together))
+    assert np.array_equal(together, alone)
 
 
 def test_kernel_rejects_bad_points():
@@ -366,6 +381,109 @@ def test_odd_quadrature_orders_solve():
     d9 = solve_drag(mesh, quad_order=9).normalized
     assert np.isfinite(d3)
     assert abs(d9 - d8) / d8 < 5e-4
+
+
+def test_kernel_evaluations_per_solve(monkeypatch):
+    # folded meshes: 4 nodes per pair 8 or more elements apart, 8 per pair
+    # 2..7 apart, 32 per neighbour pair and 24 per self element, in two calls
+    calls = []
+
+    def counting(r, z, r0, z0):
+        calls.append(np.broadcast(r, z, r0, z0).size)
+        return ring_stokeslet(r, z, r0, z0)
+
+    monkeypatch.setattr(stokesbem, "ring_stokeslet", counting)
+    profile = next(random_profiles(61, 1))
+    for n, expected in ((24, 2504), (32, 3896), (120, 36104), (240, 129944)):
+        calls.clear()
+        solve_drag(profile_to_mesh(profile, n))
+        assert len(calls) == 2 and sum(calls) == expected
+
+
+def test_rule_tables_are_read_only():
+    table = stokesbem._rule_table(40, True, 8, 12)
+    arrays = [
+        getattr(table, field.name)
+        for field in dataclasses.fields(table)
+        if isinstance(getattr(table, field.name), np.ndarray)
+    ]
+    assert len(arrays) == 11
+    for array in arrays:
+        assert not array.flags.writeable
+    with pytest.raises(ValueError):
+        table.near_index[0] = 0
+    assert stokesbem._rule_table(40, True, 8, 12) is table
+
+
+def test_assembly_from_threads_matches_serial():
+    # more threads than cores and a short switch interval, so the threads
+    # interleave while they build and read the shared rule table
+    mesh = profile_to_mesh(next(random_profiles(67, 1)), 121)
+    serial = assemble_single_layer(mesh)
+    stokesbem._rule_table.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(assemble_single_layer, mesh) for _ in range(8)]
+            matrices = [future.result(timeout=120) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for matrix in matrices:
+        assert np.array_equal(matrix, serial)
+
+
+def reference_blocks(mesh, quad_order=8, self_order=12):
+    """Unfolded ``[rr, rz, zr, zz]`` blocks, one kernel call per rule."""
+    n = mesh.n_elements
+    d = np.arange(n)[None, :] - np.arange(n)[:, None]
+    rules = (  # (pairs kept, panel edges as fractions of element j, order)
+        (np.abs(d) >= 8, (0.0, 1.0), max(2, quad_order // 2)),
+        ((np.abs(d) >= 2) & (np.abs(d) < 8), (0.0, 1.0), quad_order),
+        (d == 1, (0.0, 0.125, 0.25, 0.5, 1.0), quad_order),
+        (d == -1, (0.0, 0.5, 0.75, 0.875, 1.0), quad_order),
+        (d == 0, (0.0, 0.5, 1.0), self_order),
+    )
+    blocks = np.empty((4, n, n))
+    for keep, fractions, order in rules:
+        i, j = np.nonzero(keep)
+        xi, wq = np.polynomial.legendre.leggauss(order)
+        edges = mesh.element_bounds[:-1, None] + mesh.widths[:, None] * fractions
+        half = 0.5 * np.diff(edges, axis=1)[..., None]
+        nodes = 0.5 * (edges[:, :-1] + edges[:, 1:])[..., None] + half * xi
+        weights = half * wq
+        r, z = mesh.meridian(nodes)
+        measure = (np.clip(r, 0.0, None) * weights)[j]
+        kernel = ring_stokeslet(
+            mesh.midpoint_r[i, None, None], mesh.midpoint_z[i, None, None],
+            np.maximum(r, 1e-14)[j], z[j],
+        )
+        blocks[:, i, j] = [(m * measure).sum(axis=(1, 2)) for m in kernel]
+    # the self rule came last: swap its quadrature of -2 log(distance)
+    distance = np.abs(nodes - mesh.midpoints_arc[:, None, None])
+    log_quad = 2.0 * (weights * np.log(distance)).sum(axis=(1, 2))
+    log_exact = 2.0 * mesh.widths * (np.log(0.5 * mesh.widths) - 1.0)
+    diag = np.arange(n)
+    blocks[0::3, diag, diag] += log_quad - log_exact
+    return blocks / (8.0 * np.pi)
+
+
+def test_assembly_matches_per_rule_reference():
+    # The reference places its panels on the absolute arclength, so an
+    # eighth-element panel's width carries rounding of up to about 8 n eps
+    # relative; the table's fractions of an element do not.
+    def check(mesh, *orders):
+        n = mesh.n_elements
+        matrix = assemble_single_layer(mesh, *orders)
+        got = np.stack([matrix[:n, :n], matrix[:n, n:], matrix[n:, :n], matrix[n:, n:]])
+        want = reference_blocks(mesh, *orders)
+        tolerance = 8 * n * np.finfo(float).eps
+        assert np.max(np.abs(got - want)) < tolerance * np.max(np.abs(want))
+
+    for profile, n in zip(random_profiles(71, 3), (9, 40, 121)):
+        check(dataclasses.replace(profile_to_mesh(profile, n), mirrored=False))
+    for quad_order in (3, 16):
+        check(sphere_mesh(30), quad_order, 7)
 
 
 def random_profiles(seed, count):
