@@ -20,9 +20,7 @@ from .evolution import (
     GaussianSearch,
     ProposerError,
     RecordBuffer,
-    RunResult,
     ScoredRecord,
-    SearchState,
     SelectionConfig,
     decode_design,
     encode_design,
@@ -51,9 +49,7 @@ __all__ = [
     "ProposerError",
     "QuadraticProblem",
     "RecordBuffer",
-    "RunResult",
     "ScoredRecord",
-    "SearchState",
     "SelectionConfig",
     "__version__",
     "decode_design",

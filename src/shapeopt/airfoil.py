@@ -272,8 +272,12 @@ class EvaluatorConfig:
 
     command: list[str] = field(default_factory=list)
     reynolds: float = 100.0
-    timeout: float | None = 300.0
+    timeout: float | None = 300.0  # seconds; None waits without limit
     baseline_ratio: float = 0.0
+
+    def __post_init__(self) -> None:
+        if self.timeout is not None and not self.timeout > 0.0:
+            raise ValueError("evaluator timeout must be positive or null")
 
 
 class EvaluatorError(Exception):

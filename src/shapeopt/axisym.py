@@ -92,11 +92,6 @@ class BodyProfile:
         return self.s.size
 
     @property
-    def closure_residual(self) -> float:
-        """How far the meridian misses the axis at its far end."""
-        return abs(float(self.r[-1]))
-
-    @property
     def min_interior_radius(self) -> float:
         return float(np.min(self.r[1:-1]))
 

@@ -17,7 +17,6 @@ import json
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Iterator, NamedTuple, Sequence
 
@@ -121,46 +120,6 @@ class ConfigError(ValueError):
     """The configuration document cannot drive a run."""
 
 
-@dataclass
-class RunSettings:
-    """A validated configuration with every default materialized."""
-
-    problem: str
-    optimizer: str
-    budget: int
-    population_size: int
-    sigma: float | None
-    n_ini: int
-    selection: SelectionConfig
-    seeds: list[int]
-    output_dir: str
-    max_workers: int
-    problem_params: dict
-    llm: dict | None
-    ga: dict = field(default_factory=dict)
-
-    def snapshot(self, seed: int) -> dict:
-        """Flat JSON document that replays this single seed."""
-        flat = {**vars(self), **vars(self.selection), **self.problem_params}
-        doc = {key.name: flat[key.name] for key in CONFIG_KEYS if key.name in flat}
-        doc["seeds"] = [seed]
-        for block in ("llm", "ga"):
-            if flat[block]:
-                doc[block] = dict(flat[block])
-        return doc
-
-    def es_config(self, seed: int) -> EsConfig:
-        return EsConfig(
-            budget=self.budget,
-            population_size=self.population_size,
-            sigma=self.sigma,
-            n_initial=self.n_ini,
-            selection=self.selection,
-            seed=seed,
-            max_workers=self.max_workers,
-        )
-
-
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise ConfigError(message)
@@ -211,33 +170,25 @@ def _read_block(doc, block: str) -> dict:
     return values
 
 
-def parse_config(raw: dict) -> RunSettings:
+def parse_config(raw: dict) -> dict:
     """Validate a config document against the table and materialize defaults.
 
-    The objects a run builds from the settings are built here once, so
-    their own range checks surface as ConfigError before anything is
-    written.
+    Returns the run's settings: every row that applies to the problem, in
+    table order, then the block of the optimizer that has one ("llm" or
+    "ga").  With ``seeds`` narrowed to one seed this is the ``config.json``
+    that replays it.  The objects a run builds from the settings are built
+    here once, so their own range checks surface as ConfigError before
+    anything is written.
     """
     try:
-        values = _read_block(raw, "")
-        optimizer = values["optimizer"]
-        seeds = values["seeds"]
+        settings = _read_block(raw, "")
+        seeds = settings["seeds"]
         _require(len(set(seeds)) == len(seeds), "seeds must be distinct")
-        settings = RunSettings(
-            **{f.name: values[f.name] for f in fields(RunSettings) if f.name in values},
-            selection=SelectionConfig(
-                **{f.name: values[f.name] for f in fields(SelectionConfig)}
-            ),
-            problem_params={
-                key.name: values[key.name]
-                for key in CONFIG_KEYS
-                if key.problems and key.name in values
-            },
-            llm=_read_block(raw.get("llm", {}), "llm") if optimizer == "llm" else None,
-            ga=_read_block(raw.get("ga", {}), "ga") if optimizer == "ga" else {},
-        )
-        settings.es_config(seed=0)
-        _strategy(settings, 0, Path(settings.output_dir), make_problem(settings))
+        block = settings["optimizer"]
+        if block in ("llm", "ga"):
+            settings[block] = _read_block(raw.get(block, {}), block)
+        _es_config(settings, seed=0)
+        _strategy(settings, 0, Path(settings["output_dir"]), make_problem(settings))
     except ConfigError:
         raise
     except (ValueError, TypeError, OverflowError) as exc:
@@ -245,7 +196,7 @@ def parse_config(raw: dict) -> RunSettings:
     return settings
 
 
-def load_config(path: str | Path) -> RunSettings:
+def load_config(path: str | Path) -> dict:
     try:
         with open(path, encoding="utf-8") as handle:
             raw = json.load(handle)
@@ -256,38 +207,51 @@ def load_config(path: str | Path) -> RunSettings:
     return parse_config(raw)
 
 
-def make_problem(settings: RunSettings):
-    params = settings.problem_params
-    if settings.problem in AXISYM:
+def make_problem(settings: dict):
+    problem = settings["problem"]
+    if problem in AXISYM:
         constraint = (
             GeometricConstraint.fixed_volume()
-            if settings.problem == "axisym_volume"
+            if problem == "axisym_volume"
             else GeometricConstraint.fixed_area()
         )
         return AxisymDragProblem(
-            n_modes=params["K"],
+            n_modes=settings["K"],
             constraint=constraint,
-            n_samples=params["n_samples"],
-            n_elements=params["n_elements"],
+            n_samples=settings["n_samples"],
+            n_elements=settings["n_elements"],
         )
-    if settings.problem == "airfoil":
+    if problem == "airfoil":
         evaluator = EvaluatorConfig(
-            command=params["evaluator_command"],
-            reynolds=params["reynolds"],
-            timeout=params["evaluator_timeout"],
-            baseline_ratio=params["baseline_ratio"],
+            command=settings["evaluator_command"],
+            reynolds=settings["reynolds"],
+            timeout=settings["evaluator_timeout"],
+            baseline_ratio=settings["baseline_ratio"],
         )
-        free = params["free_indices"]
+        free = settings["free_indices"]
         return AirfoilProblem(
-            n_free_points=params["n_F"],
+            n_free_points=settings["n_F"],
             free_indices=None if free is None else tuple(free),
             evaluator=evaluator,
-            samples_per_segment=params["samples_per_segment"],
-            handle_fraction=params["handle_fraction"],
+            samples_per_segment=settings["samples_per_segment"],
+            handle_fraction=settings["handle_fraction"],
         )
-    return QuadraticProblem(
-        dimension=params["dimension"],
-        target=params["target"],
+    return QuadraticProblem(dimension=settings["dimension"], target=settings["target"])
+
+
+def _es_config(settings: dict, seed: int) -> EsConfig:
+    return EsConfig(
+        budget=settings["budget"],
+        population_size=settings["population_size"],
+        sigma=settings["sigma"],
+        n_initial=settings["n_ini"],
+        selection=SelectionConfig(
+            top_generations=settings["top_generations"],
+            recent_generations=settings["recent_generations"],
+            designs_per_generation=settings["designs_per_generation"],
+        ),
+        seed=seed,
+        max_workers=settings["max_workers"],
     )
 
 
@@ -483,12 +447,12 @@ def write_trajectory(path: Path, buffer: RecordBuffer) -> None:
 
 
 def _write_summary(
-    path: Path, settings: RunSettings, problem, buffer: RecordBuffer, detail
+    path: Path, settings: dict, problem, buffer: RecordBuffer, detail
 ) -> None:
     best = buffer.best_record()
     summary = {
-        "problem": settings.problem,
-        "optimizer": settings.optimizer,
+        "problem": settings["problem"],
+        "optimizer": settings["optimizer"],
         "n_generations": buffer.n_generations,
         "n_records": len(buffer),
         "best_score": float(best.score),
@@ -504,21 +468,21 @@ def _write_summary(
     _write_json(path, summary)
 
 
-def _strategy(settings: RunSettings, seed: int, run_dir: Path, problem) -> AskStrategy:
-    if settings.optimizer == "ga":
-        return GaSearch(
-            GaConfig(population_size=settings.population_size, seed=seed, **settings.ga)
-        )
-    if settings.optimizer == "mock":
+def _strategy(settings: dict, seed: int, run_dir: Path, problem) -> AskStrategy:
+    if settings["optimizer"] == "ga":
+        size = settings["population_size"]
+        return GaSearch(GaConfig(population_size=size, seed=seed, **settings["ga"]))
+    if settings["optimizer"] == "mock":
         return GaussianSearch(MockProposer())
-    llm_cfg = LlmConfig(audit_path=str(run_dir / "llm_audit.jsonl"), **settings.llm)
+    llm_cfg = LlmConfig(audit_path=str(run_dir / "llm_audit.jsonl"), **settings["llm"])
     return GaussianSearch(LlmProposer(config=llm_cfg, objective=problem.objective))
 
 
-def run_single_seed(settings: RunSettings, seed: int, resume: bool) -> Path:
-    run_dir = Path(settings.output_dir) / f"seed_{seed}"
+def run_single_seed(settings: dict, seed: int, resume: bool) -> Path:
+    run_dir = Path(settings["output_dir"]) / f"seed_{seed}"
     records_path = run_dir / "records.jsonl"
     problem = make_problem(settings)
+    snapshot = {**settings, "seeds": [seed]}
 
     buffer = RecordBuffer()
     kept = 0
@@ -527,40 +491,38 @@ def run_single_seed(settings: RunSettings, seed: int, resume: bool) -> Path:
             raise ConfigError(
                 f"{records_path} already holds records; pass --resume to continue"
             )
-        _check_same_run(
-            run_dir, settings.snapshot(seed), settings.population_size,
-            problem.bounds.dimension,
-        )
-        buffer, kept, _ = load_records(
-            records_path, settings.population_size, problem.bounds.dimension
-        )
+        population_size = settings["population_size"]
+        dimension = problem.bounds.dimension
+        _check_same_run(run_dir, snapshot, population_size, dimension)
+        buffer, kept, _ = load_records(records_path, population_size, dimension)
 
-    _write_json(run_dir / "config.json", settings.snapshot(seed))  # makes run_dir
+    _write_json(run_dir / "config.json", snapshot)  # makes run_dir
 
     writer = RecordWriter(records_path, problem.bounds, start_index=kept)
-    result = run_optimization(
+    buffer = run_optimization(
         problem,
         _strategy(settings, seed, run_dir, problem),
-        settings.es_config(seed),
+        _es_config(settings, seed),
         initial_buffer=buffer,
         on_generation=writer,
     )
 
-    write_trajectory(run_dir / "trajectory.csv", result.buffer)
+    write_trajectory(run_dir / "trajectory.csv", buffer)
+    best = buffer.best_record()
     detail = None
-    if isinstance(problem, AxisymDragProblem) and result.best.status == "ok":
-        detail = problem.evaluate_detail(result.best.design)
+    if isinstance(problem, AxisymDragProblem) and best.status == STATUS_OK:
+        detail = problem.evaluate_detail(best.design)
         with _replacing(run_dir / "best_profile.csv") as tmp:
             export_profile_csv(detail[1], tmp)
-    _write_summary(run_dir / "summary.json", settings, problem, result.buffer, detail)
+    _write_summary(run_dir / "summary.json", settings, problem, buffer, detail)
     return run_dir
 
 
 def cmd_run(config_path: str, out: str | None, resume: bool) -> int:
     settings = load_config(config_path)
     if out is not None:
-        settings.output_dir = out
-    for seed in settings.seeds:
+        settings["output_dir"] = out
+    for seed in settings["seeds"]:
         run_dir = run_single_seed(settings, seed, resume)
         print(f"seed {seed}: {run_dir}")
     return EXIT_OK
@@ -616,11 +578,11 @@ def cmd_sweep_nini(config_path: str, nini_values: list[int], out: str | None) ->
     """Mean best-so-far trajectory per seeding-generation count."""
     settings = load_config(config_path)
     _require(
-        settings.problem in AXISYM,
+        settings["problem"] in AXISYM,
         "the seeding sweep is defined for the axisymmetric problems",
     )
     _require(
-        settings.optimizer in ("mock", "llm"),
+        settings["optimizer"] in ("mock", "llm"),
         "the seeding sweep varies n_ini, which the ga optimizer does not use",
     )
     _require(
@@ -630,14 +592,13 @@ def cmd_sweep_nini(config_path: str, nini_values: list[int], out: str | None) ->
     _require(
         len(set(nini_values)) == len(nini_values), "nini values must be distinct"
     )
-    base_out = Path(out) if out is not None else Path(settings.output_dir)
+    base_out = Path(out) if out is not None else Path(settings["output_dir"])
     mean_columns = {}
     final_bests: dict[int, list[float]] = {}
     for value in nini_values:
-        sub = RunSettings(**{**settings.__dict__, "n_ini": value,
-                             "output_dir": str(base_out / f"nini_{value}")})
+        sub = {**settings, "n_ini": value, "output_dir": str(base_out / f"nini_{value}")}
         trajectories = []
-        for seed in sub.seeds:
+        for seed in sub["seeds"]:
             run_dir = run_single_seed(sub, seed, resume=False)
             trajectories.append(_read_trajectory(run_dir / "trajectory.csv"))
         stacked = np.vstack(trajectories)
@@ -649,7 +610,7 @@ def cmd_sweep_nini(config_path: str, nini_values: list[int], out: str | None) ->
         ["generation"] + [f"nini{v}_mean_best_so_far" for v in nini_values],
         (
             [g] + [repr(float(mean_columns[v][g])) for v in nini_values]
-            for g in range(settings.budget)
+            for g in range(settings["budget"])
         ),
     )
     _write_json(
@@ -692,7 +653,7 @@ def cmd_evaluate(
         "design lies outside the problem bounds",
     )
     report: dict = {
-        "problem": settings.problem,
+        "problem": settings["problem"],
         "design": [float(v) for v in design],
         "encoded": [int(v) for v in encode_design(design, problem.bounds)],
     }

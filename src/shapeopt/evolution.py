@@ -35,11 +35,9 @@ __all__ = [
     "Problem",
     "ProposerError",
     "RecordBuffer",
-    "RunResult",
     "STATUS_FAILED",
     "STATUS_OK",
     "ScoredRecord",
-    "SearchState",
     "SelectionConfig",
     "decode_design",
     "encode_design",
@@ -268,28 +266,18 @@ def select_records(buffer: RecordBuffer, config: SelectionConfig) -> list[Scored
     return selected
 
 
-@dataclass
-class SearchState:
-    """Sampling distribution of one generation."""
-
-    mean: np.ndarray
-    sigma: float | np.ndarray
-    population_size: int
-
-    def __post_init__(self) -> None:
-        self.mean = np.asarray(self.mean, dtype=float)
-        if np.any(np.asarray(self.sigma) <= 0.0):
-            raise ValueError("sigma must be positive")
-
-
 def sample_generation(
-    state: SearchState, bounds: Bounds, rng: np.random.Generator
+    mean: np.ndarray,
+    sigma: float | np.ndarray,
+    population_size: int,
+    bounds: Bounds,
+    rng: Generator,
 ) -> np.ndarray:
     """Independent Gaussian draws around the mean, clamped to the box."""
-    if not bounds.contains(state.mean, atol=1e-9):
+    if not bounds.contains(mean, atol=1e-9):
         raise ValueError("sampling mean lies outside the bounds")
-    noise = rng.standard_normal((state.population_size, bounds.dimension))
-    return bounds.clamp(state.mean + state.sigma * noise)
+    noise = rng.standard_normal((population_size, bounds.dimension))
+    return bounds.clamp(mean + sigma * noise)
 
 
 class MeanProposer(Protocol):
@@ -332,15 +320,6 @@ class EsConfig:
             raise ValueError("max_workers must be at least 1")
 
 
-@dataclass
-class RunResult:
-    buffer: RecordBuffer
-
-    @property
-    def best(self) -> ScoredRecord:
-        return self.buffer.best_record()
-
-
 class AskStrategy(Protocol):
     """Designs of generation ``buffer.n_generations``, drawn from ``rng``.
 
@@ -378,8 +357,7 @@ class GaussianSearch:
                 )
             mean = bounds.clamp(mean)
         sigma = config.sigma if config.sigma is not None else 0.1 * bounds.half_width
-        state = SearchState(mean, sigma, config.population_size)
-        return sample_generation(state, bounds, rng)
+        return sample_generation(mean, sigma, config.population_size, bounds, rng)
 
 
 def generation_rng(seed: int, generation: int) -> Generator:
@@ -425,13 +403,14 @@ def run_optimization(
     *,
     initial_buffer: RecordBuffer | None = None,
     on_generation: Callable[[list[ScoredRecord]], None] | None = None,
-) -> RunResult:
+) -> RecordBuffer:
     """Run (or continue) the ask-evaluate-tell loop up to the generation budget.
 
     The seeding range is ``config.init_range``, else the problem's own,
     else the central half of the box.  When ``initial_buffer`` already
     holds complete generations the loop continues after them and
-    reproduces exactly what an uninterrupted run would have done.
+    reproduces exactly what an uninterrupted run would have done.  Returns
+    the buffer (``initial_buffer`` itself when given).
     """
     bounds = problem.bounds
     init_range = (
@@ -446,4 +425,4 @@ def run_optimization(
         buffer.append_generation(records)
         if on_generation is not None:
             on_generation(records)
-    return RunResult(buffer=buffer)
+    return buffer

@@ -19,7 +19,6 @@ from .evolution import (
     EsConfig,
     Problem,
     RecordBuffer,
-    RunResult,
     ScoredRecord,
     run_optimization,
 )
@@ -147,7 +146,7 @@ def run_ga(
     initial_buffer: RecordBuffer | None = None,
     on_generation: Callable[[list[ScoredRecord]], None] | None = None,
     max_workers: int = 1,
-) -> RunResult:
+) -> RecordBuffer:
     """Initial population plus ``n_steps`` generational updates.
 
     Generation 0 is uniform in the seeding range; n_steps = 0 evaluates it

@@ -28,16 +28,12 @@ from .evolution import (
 )
 
 __all__ = [
-    "ComponentOutOfRange",
     "LlmConfig",
     "LlmProposer",
     "MockProposer",
-    "NoVectorFound",
     "PromptBundle",
-    "ProposedMean",
     "ResponseParseError",
     "TransportError",
-    "WrongArity",
     "build_prompt",
     "format_reminder",
     "mock_propose",
@@ -55,18 +51,6 @@ _VECTOR_RE = re.compile(r"\[\s*[+-]?\d+(?:\s*,\s*[+-]?\d+)*\s*\]")
 
 class ResponseParseError(ValueError):
     """The reply did not contain a usable integer vector."""
-
-
-class NoVectorFound(ResponseParseError):
-    pass
-
-
-class WrongArity(ResponseParseError):
-    pass
-
-
-class ComponentOutOfRange(ResponseParseError):
-    pass
 
 
 class TransportError(RuntimeError):
@@ -87,6 +71,8 @@ class LlmConfig:
     def __post_init__(self) -> None:
         if self.max_retries < 0:
             raise ValueError("max_retries must be non-negative")
+        if not self.timeout > 0.0:
+            raise ValueError("timeout must be positive")
 
 
 @dataclass
@@ -95,16 +81,6 @@ class PromptBundle:
 
     text: str
     dimension: int
-
-
-@dataclass
-class ProposedMean:
-    """Parsed integer mean."""
-
-    encoded: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.encoded = np.asarray(self.encoded, dtype=int)
 
 
 def _render_record(encoded: np.ndarray, score: float) -> str:
@@ -167,26 +143,27 @@ def build_prompt(
     return PromptBundle(text="\n\n".join(parts), dimension=d)
 
 
-def parse_mean_response(text: str, dimension: int) -> ProposedMean:
-    """Extract the last bracketed integer list from a reply.
+def parse_mean_response(text: str, dimension: int) -> np.ndarray:
+    """Extract the last bracketed integer list from a reply as an int vector.
 
-    Taking the last list tolerates chain-of-thought prefixes.  The three
-    failure modes raise distinct types so the retry policy can react.
+    Taking the last list tolerates chain-of-thought prefixes.  A missing
+    list, a wrong length and a component off the grid each raise
+    ResponseParseError with their own message.
     """
     matches = _VECTOR_RE.findall(text)
     if not matches:
-        raise NoVectorFound("no bracketed integer list in the reply")
+        raise ResponseParseError("no bracketed integer list in the reply")
     components = [int(tok) for tok in re.findall(r"[+-]?\d+", matches[-1])]
     if len(components) != dimension:
-        raise WrongArity(
+        raise ResponseParseError(
             f"expected {dimension} components, got {len(components)}"
         )
     encoded = np.array(components, dtype=int)
     if np.any(encoded < 0) or np.any(encoded > ENCODING_STEPS):
-        raise ComponentOutOfRange(
+        raise ResponseParseError(
             f"components must lie in [0, {ENCODING_STEPS}], got {components}"
         )
-    return ProposedMean(encoded=encoded)
+    return encoded
 
 
 def _extract_text(body: object) -> str:
@@ -241,8 +218,8 @@ def propose_mean_via_llm(
     bundle: PromptBundle,
     cfg: LlmConfig,
     transport: Callable[[dict], str] | None = None,
-) -> ProposedMean:
-    """One proposal with retries.
+) -> np.ndarray:
+    """One proposal with retries; returns the parsed integer mean.
 
     Each attempt sends the conversation so far; a parse failure appends the
     bad reply plus a format reminder before retrying, a transport failure
@@ -280,9 +257,7 @@ def propose_mean_via_llm(
                 {"role": "user", "content": format_reminder(bundle.dimension)}
             )
             continue
-        _append_audit(
-            cfg, {**audit, "response": text, "parsed": mean.encoded.tolist()}
-        )
+        _append_audit(cfg, {**audit, "response": text, "parsed": mean.tolist()})
         return mean
     raise ProposerError(f"no usable mean after {attempts} attempts: {last_error}")
 
@@ -325,4 +300,4 @@ class LlmProposer:
     def propose(self, records: Sequence[ScoredRecord], bounds: Bounds) -> np.ndarray:
         bundle = build_prompt(records, bounds, self.objective)
         mean = propose_mean_via_llm(bundle, self.config, self.transport)
-        return decode_design(mean.encoded, bounds)
+        return decode_design(mean, bounds)

@@ -55,7 +55,7 @@ from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
-from scipy.special import binom, ellipe, ellipk, ellipkm1
+from scipy.special import binom, ellipe, ellipkm1
 
 from .axisym import BodyProfile
 
@@ -78,8 +78,6 @@ __all__ = [
     "MeshError",
     "SPHERE_DRAG",
     "assemble_single_layer",
-    "complete_elliptic_e",
-    "complete_elliptic_k",
     "export_traction_csv",
     "mesh_from_meridian",
     "profile_to_mesh",
@@ -91,24 +89,6 @@ __all__ = [
 
 class MeshError(ValueError):
     """The meridian cannot be meshed into usable boundary elements."""
-
-
-def complete_elliptic_k(m):
-    """K(m) with the squared-modulus convention; diverges as m -> 1."""
-    m_arr = np.asarray(m, dtype=float)
-    if np.any(m_arr < 0.0) or np.any(m_arr >= 1.0):
-        raise ValueError("K(m) requires 0 <= m < 1")
-    k = ellipk(m_arr)
-    return float(k) if m_arr.ndim == 0 else k
-
-
-def complete_elliptic_e(m):
-    """E(m) with the squared-modulus convention; E(1) = 1 exactly."""
-    m_arr = np.asarray(m, dtype=float)
-    if np.any(m_arr < 0.0) or np.any(m_arr > 1.0):
-        raise ValueError("E(m) requires 0 <= m <= 1")
-    e = ellipe(m_arr)
-    return float(e) if m_arr.ndim == 0 else e
 
 
 # Series coefficients for the small-m branch, one column per reduced
@@ -277,14 +257,6 @@ class BoundaryMesh:
     meridian: CubicHermite  # (r, z) against arclength from the first pole
     # Element j mirrors element n-1-j across a plane z = const.
     mirrored: bool = False
-
-    def r_of(self, arc, nu: int = 0):
-        """Radius (``nu=0``) or dr/dl (``nu=1``) at arclength ``arc``."""
-        return self.meridian(arc, nu)[0]
-
-    def z_of(self, arc, nu: int = 0):
-        """Axial position (``nu=0``) or dz/dl (``nu=1``) at arclength ``arc``."""
-        return self.meridian(arc, nu)[1]
 
     @property
     def n_elements(self) -> int:

@@ -50,8 +50,8 @@ def best_drag_ratio(n_modes: int, seed: int, n_initial: int) -> float:
     cfg = EsConfig(
         budget=40, population_size=8, n_initial=n_initial, seed=seed
     )
-    result = run_optimization(problem, GaussianSearch(MockProposer()), cfg)
-    return -result.best.score
+    buffer = run_optimization(problem, GaussianSearch(MockProposer()), cfg)
+    return -buffer.best_record().score
 
 
 @pytest.fixture(scope="module")

@@ -75,16 +75,12 @@ def run_cli(*argv):
 
 def test_parse_config_materializes_defaults():
     settings = parse_config({"problem": "analytic_test", "optimizer": "mock"})
-    assert settings.budget == 40
-    assert settings.population_size == 8
-    assert settings.n_ini == 2
-    assert settings.sigma is None
-    assert settings.selection.top_generations == 3
-    assert settings.selection.recent_generations == 2
-    assert settings.selection.designs_per_generation == 3
-    assert settings.seeds == [0]
-    assert settings.output_dir == "runs"
-    assert settings.problem_params == {"dimension": 3, "target": None}
+    assert settings == {
+        "problem": "analytic_test", "optimizer": "mock", "budget": 40,
+        "population_size": 8, "sigma": None, "n_ini": 2, "top_generations": 3,
+        "recent_generations": 2, "designs_per_generation": 3, "seeds": [0],
+        "output_dir": "runs", "max_workers": 1, "dimension": 3, "target": None,
+    }
 
 
 @pytest.mark.parametrize(
@@ -118,6 +114,9 @@ def test_parse_config_materializes_defaults():
         {**AIRFOIL, "free_indices": [True]},
         {**AIRFOIL, "handle_fraction": True},
         {**AIRFOIL, "handle_fraction": 0},
+        {"optimizer": "llm", "llm": {**LLM_BLOCK, "timeout": 0}},
+        {**AIRFOIL, "evaluator_timeout": -1},
+        {**AIRFOIL, "evaluator_timeout": 0},
     ],
 )
 def test_parse_config_rejects(overrides):
@@ -152,8 +151,11 @@ def test_parse_config_airfoil_requires_evaluator():
         parse_config(doc)
     doc["evaluator_command"] = ["solver"]
     settings = parse_config(doc)
-    assert settings.problem_params["n_F"] == 3
-    assert settings.problem_params["reynolds"] == 100.0
+    assert settings["n_F"] == 3
+    assert settings["reynolds"] == 100.0
+    assert settings["evaluator_timeout"] == 300.0
+    doc["evaluator_timeout"] = None  # no time limit
+    assert parse_config(doc)["evaluator_timeout"] is None
 
 
 def test_parse_config_llm_block():
@@ -165,7 +167,7 @@ def test_parse_config_llm_block():
         parse_config(doc)  # model missing
     doc["llm"]["model"] = "m"
     settings = parse_config(doc)
-    assert settings.llm == {
+    assert settings["llm"] == {
         "endpoint": "http://x/v1",
         "model": "m",
         "max_retries": 2,
@@ -180,8 +182,8 @@ def test_parse_config_llm_block():
 def test_parse_config_ga_block():
     doc = {"problem": "analytic_test", "optimizer": "ga", "population_size": 4}
     settings = parse_config(doc)
-    assert settings.ga["elite_count"] == 1
-    assert settings.ga["tournament_size"] == 2
+    assert settings["ga"]["elite_count"] == 1
+    assert settings["ga"]["tournament_size"] == 2
     doc["ga"] = {"elite_count": 5}
     with pytest.raises(ConfigError, match="elite_count"):
         parse_config(doc)
@@ -241,7 +243,7 @@ def test_parse_config_returns_settings_or_config_error(doc):
         parsed = parse_config(doc)
     except ConfigError:
         return
-    assert parsed.problem in PROBLEMS and parsed.optimizer in OPTIMIZERS
+    assert parsed["problem"] in PROBLEMS and parsed["optimizer"] in OPTIMIZERS
 
 
 # Documents that run in milliseconds when valid: each key has a small valid
@@ -327,6 +329,88 @@ def test_run_writes_expected_artifacts(tmp_path, capsys):
         assert summary["best_score"] == max(e["score"] for e in entries)
         snapshot = json.loads((run_dir / "config.json").read_text())
         assert snapshot["seeds"] == [seed]
+
+
+LLM_SNAPSHOT = """{
+  "problem": "analytic_test",
+  "optimizer": "llm",
+  "budget": 2,
+  "population_size": 3,
+  "sigma": 0.25,
+  "n_ini": 2,
+  "top_generations": 3,
+  "recent_generations": 2,
+  "designs_per_generation": 3,
+  "seeds": [
+    SEED
+  ],
+  "output_dir": OUT,
+  "max_workers": 1,
+  "dimension": 2,
+  "target": [
+    0.1,
+    -0.2
+  ],
+  "llm": {
+    "endpoint": "http://x/v1",
+    "model": "m",
+    "max_retries": 2,
+    "timeout": 5.0,
+    "api_key_env": "SHAPEOPT_API_KEY"
+  }
+}
+"""
+
+GA_SNAPSHOT = """{
+  "problem": "analytic_test",
+  "optimizer": "ga",
+  "budget": 2,
+  "population_size": 3,
+  "sigma": null,
+  "n_ini": 1,
+  "top_generations": 3,
+  "recent_generations": 2,
+  "designs_per_generation": 3,
+  "seeds": [
+    SEED
+  ],
+  "output_dir": OUT,
+  "max_workers": 1,
+  "dimension": 2,
+  "target": null,
+  "ga": {
+    "tournament_size": 2,
+    "crossover_rate": 0.9,
+    "blend_alpha": 0.5,
+    "mutation_rate": 0.5,
+    "mutation_sigma": null,
+    "elite_count": 2
+  }
+}
+"""
+
+
+def test_config_json_bytes(tmp_path):
+    # Key order is table order; numbers read as floats; every default is
+    # written; seeds narrow to the run's own; --out replaces output_dir.
+    # With n_ini equal to the budget the llm run never calls its endpoint.
+    llm_out = str(tmp_path / "llm")
+    llm = {
+        **ANALYTIC, "optimizer": "llm", "budget": 2, "n_ini": 2, "sigma": 0.25,
+        "target": [0.1, -0.2], "seeds": [5, 1], "output_dir": llm_out,
+        "llm": {**LLM_BLOCK, "timeout": 5},
+    }
+    assert run_cli("run", "--config", write_config(tmp_path, llm, "llm.json")) == EXIT_OK
+    ga_out = str(tmp_path / "ga")
+    ga = {**ANALYTIC, "optimizer": "ga", "budget": 2, "seeds": [4],
+          "ga": {"elite_count": 2, "mutation_rate": 0.5}}
+    config = write_config(tmp_path, ga, "ga.json")
+    assert run_cli("run", "--config", config, "--out", ga_out) == EXIT_OK
+    for template, out, seed in (
+        (LLM_SNAPSHOT, llm_out, 5), (LLM_SNAPSHOT, llm_out, 1), (GA_SNAPSHOT, ga_out, 4)
+    ):
+        expected = template.replace("SEED", str(seed)).replace("OUT", json.dumps(out))
+        assert (Path(out) / f"seed_{seed}" / "config.json").read_text() == expected
 
 
 def test_run_is_bit_deterministic(tmp_path):

@@ -13,7 +13,6 @@ from shapeopt.evolution import (
     ProposerError,
     RecordBuffer,
     ScoredRecord,
-    SearchState,
     SelectionConfig,
     decode_design,
     encode_design,
@@ -228,33 +227,29 @@ def test_selection_config_validation():
 
 def test_sampling_is_deterministic_and_clamped():
     b = Bounds.uniform(3, -1.0, 1.0)
-    state = SearchState(mean=np.zeros(3), sigma=5.0, population_size=40)
-    a = sample_generation(state, b, generation_rng(1, 0))
-    c = sample_generation(state, b, generation_rng(1, 0))
+    a = sample_generation(np.zeros(3), 5.0, 40, b, generation_rng(1, 0))
+    c = sample_generation(np.zeros(3), 5.0, 40, b, generation_rng(1, 0))
     assert np.array_equal(a, c)
     assert a.min() >= -1.0 and a.max() <= 1.0
 
 
 def test_sampling_statistics():
     b = Bounds.uniform(2, -1.0, 1.0)
-    state = SearchState(mean=np.zeros(2), sigma=0.1, population_size=10000)
-    samples = sample_generation(state, b, np.random.default_rng(0))
+    samples = sample_generation(np.zeros(2), 0.1, 10000, b, np.random.default_rng(0))
     assert np.all(np.abs(samples.mean(axis=0)) < 0.004)  # 4 sigma / sqrt(N)
 
 
 def test_sampling_tiny_sigma_degenerates_to_mean():
     b = Bounds.uniform(2, -1.0, 1.0)
     mean = np.array([0.3, -0.7])
-    state = SearchState(mean=mean, sigma=1e-300, population_size=5)
-    samples = sample_generation(state, b, np.random.default_rng(0))
+    samples = sample_generation(mean, 1e-300, 5, b, np.random.default_rng(0))
     assert np.allclose(samples, mean, atol=1e-12)
 
 
 def test_sampling_mean_out_of_bounds():
     b = Bounds.uniform(1, -1.0, 1.0)
-    state = SearchState(mean=np.array([2.0]), sigma=0.1, population_size=2)
     with pytest.raises(ValueError):
-        sample_generation(state, b, np.random.default_rng(0))
+        sample_generation(np.array([2.0]), 0.1, 2, b, np.random.default_rng(0))
 
 
 def test_generation_rng_streams():
@@ -298,17 +293,17 @@ def test_initialization_only():
     problem = QuadProblem()
     proposer = CentroidProposer()
     cfg = EsConfig(budget=2, population_size=5, n_initial=2, seed=0)
-    result = run_optimization(problem, GaussianSearch(proposer), cfg)
-    assert len(result.buffer) == 10
+    buffer = run_optimization(problem, GaussianSearch(proposer), cfg)
+    assert len(buffer) == 10
     assert proposer.calls == 0
 
 
 def test_convergence_with_centroid_proposer():
     problem = QuadProblem()
     cfg = EsConfig(budget=30, population_size=8, seed=0)
-    result = run_optimization(problem, GaussianSearch(CentroidProposer()), cfg)
+    buffer = run_optimization(problem, GaussianSearch(CentroidProposer()), cfg)
     sigma = 0.1 * problem.bounds.half_width[0]
-    assert np.all(np.abs(result.best.design - problem.center) <= 2 * sigma)
+    assert np.all(np.abs(buffer.best_record().design - problem.center) <= 2 * sigma)
 
 
 def test_bit_reproducibility():
@@ -316,7 +311,7 @@ def test_bit_reproducibility():
     cfg = EsConfig(budget=12, population_size=4, seed=3)
     a = run_optimization(problem, GaussianSearch(CentroidProposer()), cfg)
     b = run_optimization(problem, GaussianSearch(CentroidProposer()), cfg)
-    for ra, rb in zip(a.buffer.all_records(), b.buffer.all_records()):
+    for ra, rb in zip(a.all_records(), b.all_records()):
         assert ra.score == rb.score
         assert np.array_equal(ra.design, rb.design)
 
@@ -331,9 +326,9 @@ def test_resume_matches_uninterrupted():
         EsConfig(budget=6, population_size=4, seed=5),
     )
     resumed = run_optimization(
-        problem, GaussianSearch(CentroidProposer()), cfg, initial_buffer=part.buffer
+        problem, GaussianSearch(CentroidProposer()), cfg, initial_buffer=part
     )
-    for ra, rb in zip(full.buffer.all_records(), resumed.buffer.all_records()):
+    for ra, rb in zip(full.all_records(), resumed.all_records()):
         assert ra.score == rb.score and np.array_equal(ra.design, rb.design)
 
 
@@ -345,8 +340,8 @@ class FailingProblem(QuadProblem):
 def test_failing_evaluator_records_penalty():
     problem = FailingProblem()
     cfg = EsConfig(budget=4, population_size=3, seed=0)
-    result = run_optimization(problem, GaussianSearch(CentroidProposer()), cfg)
-    records = result.buffer.all_records()
+    buffer = run_optimization(problem, GaussianSearch(CentroidProposer()), cfg)
+    records = buffer.all_records()
     assert len(records) == 12
     assert all(r.score == problem.penalty_score for r in records)
     assert all(r.status == "failed" for r in records)
@@ -363,8 +358,8 @@ def test_parallel_evaluation_matches_serial():
 def test_best_so_far_monotone():
     problem = QuadProblem()
     cfg = EsConfig(budget=20, population_size=4, seed=9)
-    result = run_optimization(problem, GaussianSearch(CentroidProposer()), cfg)
-    bests = [result.buffer.best_in(g).score for g in range(20)]
+    buffer = run_optimization(problem, GaussianSearch(CentroidProposer()), cfg)
+    bests = [buffer.best_in(g).score for g in range(20)]
     assert np.all(np.diff(np.maximum.accumulate(bests)) >= 0)
 
 
@@ -387,12 +382,12 @@ def test_proposed_mean_is_clamped():
         def propose(self, records, bounds):
             return np.full(bounds.dimension, 1e6)
 
-    result = run_optimization(
+    buffer = run_optimization(
         QuadProblem(),
         GaussianSearch(HugeProposer()),
         EsConfig(budget=3, population_size=4, seed=0),
     )
-    for record in result.buffer.generation(2):
+    for record in buffer.generation(2):
         assert np.all(record.design <= 1.0)
 
 

@@ -124,19 +124,20 @@ def test_blend_crossover_interval():
 
 def test_run_zero_steps_evaluates_initial_population():
     problem = QuadraticProblem(dimension=3)
-    result = run_ga(problem, GaConfig(population_size=5, seed=0), 0)
-    assert result.buffer.n_generations == 1
-    assert len(result.buffer) == 5
+    buffer = run_ga(problem, GaConfig(population_size=5, seed=0), 0)
+    assert buffer.n_generations == 1
+    assert len(buffer) == 5
     seeding = problem.bounds.central(0.5)
-    for record in result.buffer.all_records():
+    for record in buffer.all_records():
         assert seeding.contains(record.design)
 
 
 def test_convergence_frozen_value():
     problem = QuadraticProblem(dimension=3)
-    result = run_ga(problem, GaConfig(population_size=16, seed=7), 40)
-    assert result.best.score == pytest.approx(-1.0981511345801599e-06, rel=1e-9)
-    assert np.allclose(result.best.design, 0.3, atol=0.01)
+    buffer = run_ga(problem, GaConfig(population_size=16, seed=7), 40)
+    best = buffer.best_record()
+    assert best.score == pytest.approx(-1.0981511345801599e-06, rel=1e-9)
+    assert np.allclose(best.design, 0.3, atol=0.01)
 
 
 def test_reproducible_runs():
@@ -144,7 +145,7 @@ def test_reproducible_runs():
     cfg = GaConfig(population_size=6, seed=12)
     a = run_ga(problem, cfg, 8)
     b = run_ga(problem, cfg, 8)
-    for ra, rb in zip(a.buffer.all_records(), b.buffer.all_records()):
+    for ra, rb in zip(a.all_records(), b.all_records()):
         assert ra.score == rb.score
         assert np.array_equal(ra.design, rb.design)
 
@@ -154,9 +155,9 @@ def test_resume_matches_uninterrupted():
     cfg = GaConfig(population_size=6, seed=9)
     full = run_ga(problem, cfg, 10)
     partial = run_ga(problem, cfg, 4)
-    resumed = run_ga(problem, cfg, 10, initial_buffer=partial.buffer)
-    assert resumed.buffer.n_generations == 11
-    for ra, rb in zip(full.buffer.all_records(), resumed.buffer.all_records()):
+    resumed = run_ga(problem, cfg, 10, initial_buffer=partial)
+    assert resumed.n_generations == 11
+    for ra, rb in zip(full.all_records(), resumed.all_records()):
         assert ra.score == rb.score and np.array_equal(ra.design, rb.design)
 
 
@@ -164,24 +165,24 @@ def test_resume_with_complete_buffer_is_a_no_op():
     problem = QuadraticProblem(dimension=3)
     cfg = GaConfig(population_size=4, seed=2)
     done = run_ga(problem, cfg, 3)
-    again = run_ga(problem, cfg, 3, initial_buffer=done.buffer)
-    assert again.buffer is done.buffer
-    assert again.buffer.n_generations == 4
+    again = run_ga(problem, cfg, 3, initial_buffer=done)
+    assert again is done
+    assert again.n_generations == 4
 
 
 def test_elitism_makes_generation_best_monotone():
     problem = QuadraticProblem(dimension=3)
     cfg = GaConfig(population_size=8, elite_count=1, seed=4)
-    result = run_ga(problem, cfg, 25)
-    bests = [result.buffer.best_in(g).score for g in range(26)]
+    buffer = run_ga(problem, cfg, 25)
+    bests = [buffer.best_in(g).score for g in range(26)]
     assert np.all(np.diff(bests) >= 0.0)
 
 
 def test_explicit_init_range_is_honored():
     problem = QuadraticProblem(dimension=3)
     init = Bounds.uniform(3, 0.9, 1.0)
-    result = run_ga(problem, GaConfig(population_size=6, seed=0), 0, init_range=init)
-    for record in result.buffer.all_records():
+    buffer = run_ga(problem, GaConfig(population_size=6, seed=0), 0, init_range=init)
+    for record in buffer.all_records():
         assert np.all(record.design >= 0.9) and np.all(record.design <= 1.0)
 
 

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
-from scipy.special import ellipe, ellipk
 
 import shapeopt
 from shapeopt import stokesbem
@@ -23,8 +22,6 @@ from shapeopt.stokesbem import (
     CubicHermite,
     MeshError,
     assemble_single_layer,
-    complete_elliptic_e,
-    complete_elliptic_k,
     export_traction_csv,
     mesh_from_meridian,
     profile_to_mesh,
@@ -41,36 +38,6 @@ def sphere_mesh(n_elements, radius=1.0):
     r = radius * np.sin(theta)
     z = -radius * np.cos(theta)
     return mesh_from_meridian(r, z, radius * theta, n_elements)
-
-
-# ---------------------------------------------------------------- elliptic
-
-def test_elliptic_special_values():
-    assert complete_elliptic_k(0.0) == pytest.approx(math.pi / 2, rel=1e-15)
-    assert complete_elliptic_e(0.0) == pytest.approx(math.pi / 2, rel=1e-15)
-    assert complete_elliptic_e(1.0) == 1.0
-
-
-def test_elliptic_against_scipy():
-    m = np.concatenate(
-        [np.linspace(0.0, 0.999, 200), [0.5, 0.9999, 0.999999]]
-    )
-    assert np.max(np.abs(complete_elliptic_k(m) - ellipk(m))) < 1e-12
-    assert np.max(np.abs(complete_elliptic_e(m) - ellipe(m))) < 1e-12
-
-
-def test_elliptic_frozen_midpoint():
-    # reference value of K(0.5), computed independently before the build
-    assert complete_elliptic_k(0.5) == pytest.approx(1.8540746773013719, abs=1e-14)
-
-
-def test_elliptic_domain_errors():
-    with pytest.raises(ValueError):
-        complete_elliptic_k(1.0)
-    with pytest.raises(ValueError):
-        complete_elliptic_k(-0.1)
-    with pytest.raises(ValueError):
-        complete_elliptic_e(1.0 + 1e-12)
 
 
 # ------------------------------------------------------------------ kernel
@@ -248,15 +215,16 @@ def test_profile_interpolant_takes_the_exact_tangent():
     assert np.array_equal(knots, profile.lam * (profile.s + 1.0))
     # exact at every knot but the last, which the end cubic reaches with round-off
     inner = knots[:-1]
-    assert np.array_equal(mesh.r_of(inner), profile.r[:-1])
-    assert np.array_equal(mesh.z_of(inner), profile.z[:-1])
-    assert np.array_equal(mesh.r_of(inner, 1), np.sin(profile.phi[:-1]))
-    assert np.array_equal(mesh.z_of(inner, 1), np.cos(profile.phi[:-1]))
+    assert np.array_equal(mesh.meridian(inner)[0], profile.r[:-1])
+    assert np.array_equal(mesh.meridian(inner)[1], profile.z[:-1])
+    assert np.array_equal(mesh.meridian(inner, 1)[0], np.sin(profile.phi[:-1]))
+    assert np.array_equal(mesh.meridian(inner, 1)[1], np.cos(profile.phi[:-1]))
     end = knots[-1]
-    assert mesh.r_of(end) == pytest.approx(profile.r[-1], abs=1e-14)
-    assert mesh.z_of(end) == pytest.approx(profile.z[-1], abs=1e-14)
-    assert mesh.r_of(end, 1) == pytest.approx(math.sin(profile.phi[-1]), abs=1e-13)
-    assert mesh.z_of(end, 1) == pytest.approx(math.cos(profile.phi[-1]), abs=1e-13)
+    assert mesh.meridian(end)[0] == pytest.approx(profile.r[-1], abs=1e-14)
+    assert mesh.meridian(end)[1] == pytest.approx(profile.z[-1], abs=1e-14)
+    r_end, z_end = mesh.meridian(end, 1)
+    assert r_end == pytest.approx(math.sin(profile.phi[-1]), abs=1e-13)
+    assert z_end == pytest.approx(math.cos(profile.phi[-1]), abs=1e-13)
 
 
 def test_meridian_interpolant_is_the_cubic_spline():
@@ -268,10 +236,11 @@ def test_meridian_interpolant_is_the_cubic_spline():
     mesh = mesh_from_meridian(r, z, arc, 30)
     arc = arc - arc[0]  # the mesh measures arclength from the first pole
     points = np.random.default_rng(59).uniform(0.0, arc[-1], 2000)
-    for interpolant, values in ((mesh.r_of, r), (mesh.z_of, z)):
+    for component, values in enumerate((r, z)):
         spline = CubicSpline(arc, values)
         for nu in (0, 1):
-            assert np.max(np.abs(interpolant(points, nu) - spline(points, nu))) < 1e-13
+            interpolated = mesh.meridian(points, nu)[component]
+            assert np.max(np.abs(interpolated - spline(points, nu))) < 1e-13
 
 
 def test_cubic_hermite_reproduces_cubics():
@@ -527,7 +496,8 @@ def test_folded_and_full_tractions_differ_by_the_pressure_gauge():
     q_r, q_z = solve_tractions(mesh)
     f_r, f_z = solve_tractions(dataclasses.replace(mesh, mirrored=False))
     s = mesh.midpoints_arc
-    normal = np.concatenate([mesh.z_of(s, 1), -mesh.r_of(s, 1)])
+    dr, dz = mesh.meridian(s, 1)
+    normal = np.concatenate([dz, -dr])
     diff = np.concatenate([f_r - q_r, f_z - q_z])
     gauge = diff @ normal / (normal @ normal)
     assert np.max(np.abs(diff - gauge * normal)) < 1e-11 * np.max(np.abs(q_z))
