@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from contextlib import contextmanager
@@ -54,6 +55,9 @@ PROBLEMS = ("airfoil", "axisym_volume", "axisym_area", "analytic_test")
 OPTIMIZERS = ("llm", "mock", "ga")
 AXISYM = ("axisym_volume", "axisym_area")
 REQUIRED = object()
+# Longest timeout in seconds; subprocess and socket waits overflow far
+# beyond it (poll takes int milliseconds, about 2.1e6 s).
+DAY = 86400.0
 
 
 class Key(NamedTuple):
@@ -98,13 +102,13 @@ CONFIG_KEYS = (
     Key("evaluator_command", REQUIRED, "string list", problems=("airfoil",)),
     Key("reynolds", 100.0, "number", problems=("airfoil",)),
     Key("baseline_ratio", 0.0, "number", problems=("airfoil",)),
-    Key("evaluator_timeout", 300.0, "number?", problems=("airfoil",)),
+    Key("evaluator_timeout", 300.0, "number?", high=DAY, problems=("airfoil",)),
     Key("dimension", 3, "integer", problems=("analytic_test",)),
     Key("target", None, "number list?", problems=("analytic_test",)),
     Key("llm.endpoint", REQUIRED, "string"),
     Key("llm.model", REQUIRED, "string"),
     Key("llm.max_retries", 2, "integer"),
-    Key("llm.timeout", 60.0, "number"),
+    Key("llm.timeout", 60.0, "number", high=DAY),
     Key("llm.api_key_env", "SHAPEOPT_API_KEY", "string"),
     Key("ga.tournament_size", 2, "integer"),
     Key("ga.crossover_rate", 0.9, "number"),
@@ -143,6 +147,9 @@ def _read_key(key: Key, value):
         return None
     _require(value != [] and value != "", f"{name} must not be empty")
     for v in value if isinstance(value, list) else [value]:
+        # json reads NaN and Infinity, which no key can use
+        _require(not kind.startswith("number") or math.isfinite(v),
+                 f"{name} must be a finite number")
         _require(low is None or v >= low, f"{name} must be at least {low}")
         _require(high is None or v <= high, f"{name} must be at most {high}")
     _require(not choices or value in choices, f"{name} must be one of {choices}")

@@ -117,6 +117,16 @@ def test_parse_config_materializes_defaults():
         {"optimizer": "llm", "llm": {**LLM_BLOCK, "timeout": 0}},
         {**AIRFOIL, "evaluator_timeout": -1},
         {**AIRFOIL, "evaluator_timeout": 0},
+        {"target": [math.nan, 0.1, 0.2]},
+        {"target": [0.1, math.inf, 0.2]},
+        {"sigma": -math.inf},
+        {"optimizer": "ga", "ga": {"mutation_sigma": math.nan}},
+        {"optimizer": "llm", "llm": {**LLM_BLOCK, "timeout": math.inf}},
+        {"optimizer": "llm", "llm": {**LLM_BLOCK, "timeout": 1e308}},
+        {"optimizer": "llm", "llm": {**LLM_BLOCK, "timeout": 86400.5}},
+        {**AIRFOIL, "baseline_ratio": math.nan},
+        {**AIRFOIL, "evaluator_timeout": math.inf},
+        {**AIRFOIL, "evaluator_timeout": 2.2e6},
     ],
 )
 def test_parse_config_rejects(overrides):
@@ -289,6 +299,54 @@ def test_main_run_exits_0_or_2_without_traceback(doc, blocked):
             code = main(["run", "--config", str(config)])
     assert code in (EXIT_OK, EXIT_CONFIG)
     assert code == EXIT_CONFIG or not blocked, "a run wrote through a regular file"
+    if code == EXIT_CONFIG:
+        assert err.getvalue().startswith("config error: ")
+        assert err.getvalue().count("\n") == 1
+
+
+def test_parse_config_timeouts_reach_one_day():
+    doc = {**AIRFOIL, "optimizer": "llm", "llm": {**LLM_BLOCK, "timeout": 86400}}
+    settings = parse_config({**doc, "evaluator_timeout": 86400})
+    assert settings["evaluator_timeout"] == settings["llm"]["timeout"] == 86400.0
+
+
+# Values Python's json reads into numbers that no key can use, or that
+# overflow what a key feeds; -0.0 is finite and sits on the zero bounds.
+SPECIAL_NUMBERS = st.sampled_from([math.nan, math.inf, -math.inf, 1e308, -0.0])
+NUMERIC_KEYS = ("sigma", "target", "budget", "dimension")
+GA_NUMERIC_KEYS = ("crossover_rate", "blend_alpha", "mutation_rate", "mutation_sigma")
+
+
+@st.composite
+def special_number_docs(draw):
+    doc = {"problem": "analytic_test"}
+    doc.update({name: draw(valid) for name, valid in CHEAP_VALID.items()})
+    special = SPECIAL_NUMBERS | st.floats(-1.0, 1.0)
+    for name in draw(st.lists(st.sampled_from(NUMERIC_KEYS), min_size=1, max_size=2)):
+        if name == "target":
+            doc[name] = draw(st.lists(special, min_size=1, max_size=3))
+        else:
+            doc[name] = draw(SPECIAL_NUMBERS)
+    if doc["optimizer"] == "ga":
+        keys = st.lists(st.sampled_from(GA_NUMERIC_KEYS), max_size=2, unique=True)
+        doc["ga"] = {name: draw(SPECIAL_NUMBERS) for name in draw(keys)}
+    return doc
+
+
+@settings(max_examples=80, deadline=None)
+@given(doc=special_number_docs())
+def test_main_run_refuses_or_runs_special_numbers(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        doc["output_dir"] = str(Path(tmp) / "runs")
+        config = Path(tmp) / "config.json"
+        config.write_text(json.dumps(doc))  # writes NaN and Infinity as json reads them
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["run", "--config", str(config)])
+    numbers = [*doc.values(), *doc.get("target", []), *doc.get("ga", {}).values()]
+    finite = all(math.isfinite(v) for v in numbers if isinstance(v, float))
+    assert code == EXIT_CONFIG or (code == EXIT_OK and finite)
+    assert "Traceback" not in err.getvalue()
     if code == EXIT_CONFIG:
         assert err.getvalue().startswith("config error: ")
         assert err.getvalue().count("\n") == 1

@@ -164,6 +164,58 @@ def test_kernel_rejects_bad_points():
         ring_stokeslet(1.0, 0.0, 1.0, 0.0)  # coincident
 
 
+def kernel_layouts():
+    """Named ``(r, z, r0, z0)`` calls in the layouts the solver and tests use,
+    with field points far enough off for the small-m series."""
+    rng = np.random.default_rng(13)
+    field = rng.uniform(0.2, 2.0, 40), rng.uniform(-1.0, 1.0, 40)
+    field[1][::5] += 30.0  # m well below 0.05
+    source = rng.uniform(0.2, 2.0, (4, 40)), rng.uniform(-1.0, 1.0, (4, 40))
+    return {
+        "far": (*field, *source),  # (4, P) sources against (P,) rows
+        "near": (*field, source[0][0], source[1][0]),
+        "reference": (
+            field[0][:, None, None], field[1][:, None, None],
+            source[0].T.reshape(40, 2, 2), source[1].T.reshape(40, 2, 2),
+        ),
+        "empty": (field[0][:0], field[1][:0], source[0][:, :0], source[1][:, :0]),
+        "scalar": (0.7, 31.0, 1.1, 0.2),
+    }
+
+
+def test_kernel_results_do_not_depend_on_block_size(monkeypatch):
+    want = {name: ring_stokeslet(*args) for name, args in kernel_layouts().items()}
+    monkeypatch.setattr(stokesbem, "_BLOCK", 7)
+    for name, args in kernel_layouts().items():
+        got = ring_stokeslet(*args)
+        assert type(got) is type(want[name]), name
+        assert np.array_equal(np.asarray(got), np.asarray(want[name])), name
+    assert want["far"].shape == (4, 4, 40)
+    assert want["reference"].shape == (4, 40, 2, 2)
+    assert want["empty"].shape == (4, 4, 0)
+    # a coincident pair in the last block of many is still found
+    r, z, r0, z0 = (np.array(a, copy=True) for a in kernel_layouts()["near"])
+    r0[-1], z0[-1] = r[-1], z[-1]
+    with pytest.raises(ValueError, match="coincide"):
+        ring_stokeslet(r, z, r0, z0)
+
+
+def test_kernel_results_are_owned_by_the_caller():
+    # the kernel works in per-thread scratch; its results must not alias it
+    args = kernel_layouts()["far"]
+    first = ring_stokeslet(*args)
+    kept = first.copy()
+    second = ring_stokeslet(args[0], args[1] + 0.5, args[2], args[3])
+    assert second is not first and not np.shares_memory(first, second)
+    assert np.array_equal(first, kept)
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        futures = [pool.submit(ring_stokeslet, *args) for _ in range(2)]
+        results = [future.result(timeout=60) for future in futures]
+    assert not np.shares_memory(*results)
+    for result in results:
+        assert np.array_equal(result, kept)
+
+
 # -------------------------------------------------------------------- mesh
 
 def test_sphere_mesh_arclength():
