@@ -11,9 +11,7 @@ the targets below make the reference sphere come out with radius one.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 from numpy.polynomial.legendre import legval
@@ -38,7 +36,6 @@ __all__ = [
     "compute_area",
     "compute_volume",
     "cumulative_simpson_uniform",
-    "export_profile_csv",
     "integrate_profile",
     "rescale_to_constraint",
     "simpson_uniform",
@@ -201,12 +198,3 @@ def rescale_to_constraint(
     factor = (constraint.target / measure) ** exponent
     return profile.with_scale(profile.lam * factor)
 
-
-def export_profile_csv(profile: BodyProfile, path) -> None:
-    """Write the sampled meridian as CSV columns (s, r, z, phi)."""
-    path = Path(path)
-    with path.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["s", "r", "z", "phi"])
-        for row in zip(profile.s, profile.r, profile.z, profile.phi):
-            writer.writerow([f"{value:.12g}" for value in row])

@@ -24,7 +24,7 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .airfoil import EvaluatorConfig
-from .axisym import GeometricConstraint, export_profile_csv
+from .axisym import BodyProfile, GeometricConstraint
 from .evolution import (
     STATUS_FAILED,
     STATUS_OK,
@@ -44,7 +44,6 @@ from .evolution import (
 from .ga import GaConfig, GaSearch
 from .llm import LlmConfig, LlmProposer, MockProposer
 from .problems import AirfoilProblem, AxisymDragProblem, QuadraticProblem
-from .stokesbem import export_traction_csv
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -58,6 +57,10 @@ REQUIRED = object()
 # Longest timeout in seconds; subprocess and socket waits overflow far
 # beyond it (poll takes int milliseconds, about 2.1e6 s).
 DAY = 86400.0
+# Largest magnitude of a number that scales or shifts designs and draws:
+# far beyond any useful value, and far below where float64 arithmetic on
+# it overflows.
+LARGEST = 1.0e6
 
 
 class Key(NamedTuple):
@@ -84,7 +87,7 @@ CONFIG_KEYS = (
     Key("optimizer", REQUIRED, "string", choices=OPTIMIZERS),
     Key("budget", 40, "integer"),
     Key("population_size", 8, "integer"),
-    Key("sigma", None, "number?"),
+    Key("sigma", None, "number?", high=LARGEST),
     Key("n_ini", 2, "integer"),
     Key("top_generations", 3, "integer"),
     Key("recent_generations", 2, "integer"),
@@ -98,13 +101,14 @@ CONFIG_KEYS = (
     Key("n_F", 3, "integer", problems=("airfoil",)),
     Key("free_indices", None, "integer list?", problems=("airfoil",)),
     Key("samples_per_segment", 32, "integer", low=2, problems=("airfoil",)),
-    Key("handle_fraction", 0.3, "number", problems=("airfoil",)),
+    Key("handle_fraction", 0.3, "number", high=LARGEST, problems=("airfoil",)),
     Key("evaluator_command", REQUIRED, "string list", problems=("airfoil",)),
     Key("reynolds", 100.0, "number", problems=("airfoil",)),
     Key("baseline_ratio", 0.0, "number", problems=("airfoil",)),
     Key("evaluator_timeout", 300.0, "number?", high=DAY, problems=("airfoil",)),
     Key("dimension", 3, "integer", problems=("analytic_test",)),
-    Key("target", None, "number list?", problems=("analytic_test",)),
+    Key("target", None, "number list?", low=-LARGEST, high=LARGEST,
+        problems=("analytic_test",)),
     Key("llm.endpoint", REQUIRED, "string"),
     Key("llm.model", REQUIRED, "string"),
     Key("llm.max_retries", 2, "integer"),
@@ -112,9 +116,9 @@ CONFIG_KEYS = (
     Key("llm.api_key_env", "SHAPEOPT_API_KEY", "string"),
     Key("ga.tournament_size", 2, "integer"),
     Key("ga.crossover_rate", 0.9, "number"),
-    Key("ga.blend_alpha", 0.5, "number"),
+    Key("ga.blend_alpha", 0.5, "number", high=LARGEST),
     Key("ga.mutation_rate", 0.2, "number"),
-    Key("ga.mutation_sigma", None, "number?"),
+    Key("ga.mutation_sigma", None, "number?", high=LARGEST),
     Key("ga.elite_count", 1, "integer"),
 )
 _JSON_TYPES = {"integer": int, "number": (int, float), "string": str}
@@ -435,6 +439,16 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
         writer.writerows(rows)
 
 
+def _write_columns(path: Path, header: list[str], *columns) -> None:
+    """Numeric columns as a CSV table of ``.12g`` cells."""
+    _write_csv(path, header, ([f"{v:.12g}" for v in row] for row in zip(*columns)))
+
+
+def _write_profile(path: Path, profile: BodyProfile) -> None:
+    columns = profile.s, profile.r, profile.z, profile.phi
+    _write_columns(path, ["s", "r", "z", "phi"], *columns)
+
+
 def _write_json(path: Path, doc) -> None:
     with _replacing(path) as tmp, open(tmp, "w", encoding="utf-8") as handle:
         json.dump(doc, handle, indent=2)
@@ -519,8 +533,7 @@ def run_single_seed(settings: dict, seed: int, resume: bool) -> Path:
     detail = None
     if isinstance(problem, AxisymDragProblem) and best.status == STATUS_OK:
         detail = problem.evaluate_detail(best.design)
-        with _replacing(run_dir / "best_profile.csv") as tmp:
-            export_profile_csv(detail[1], tmp)
+        _write_profile(run_dir / "best_profile.csv", detail[1])
     _write_summary(run_dir / "summary.json", settings, problem, buffer, detail)
     return run_dir
 
@@ -683,13 +696,15 @@ def cmd_evaluate(
             scale_lambda=profile.lam,
         )
         if profile_out:
-            with _replacing(Path(profile_out)) as tmp:
-                export_profile_csv(profile, tmp)
+            _write_profile(Path(profile_out), profile)
             report["profile_csv"] = profile_out
         if traction_out:
-            mesh, (q_r, q_z) = problem.traction_profile(design)
-            with _replacing(Path(traction_out)) as tmp:
-                export_traction_csv(mesh, q_r, q_z, tmp)
+            # s: the midpoints' arclength rescaled to [-1, 1], as in the profile
+            mesh = drag.mesh
+            s = 2.0 * mesh.midpoints_arc / mesh.total_arclength - 1.0
+            _write_columns(
+                Path(traction_out), ["s", "f_r", "f_z"], s, drag.q_r, drag.q_z
+            )
             report["traction_csv"] = traction_out
     if out is None:
         sys.stdout.write(json.dumps(report, indent=2) + "\n")

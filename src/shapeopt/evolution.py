@@ -167,6 +167,7 @@ class RecordBuffer:
 
     def __init__(self) -> None:
         self._generations: list[list[ScoredRecord]] = []
+        self._bests: list[ScoredRecord] = []
 
     def __len__(self) -> int:
         return sum(len(g) for g in self._generations)
@@ -186,6 +187,8 @@ class RecordBuffer:
                     f"record generation {record.generation} != next index {expected}"
                 )
         self._generations.append(records)
+        # max keeps the first of equal scores: ties keep evaluation order.
+        self._bests.append(max(records, key=lambda record: record.score))
 
     def generation(self, index: int) -> list[ScoredRecord]:
         return list(self._generations[index])
@@ -195,22 +198,13 @@ class RecordBuffer:
 
     def best_in(self, index: int) -> ScoredRecord:
         """Best record of one generation; ties keep evaluation order."""
-        records = self._generations[index]
-        best = records[0]
-        for record in records[1:]:
-            if record.score > best.score:
-                best = record
-        return best
+        return self._bests[index]
 
     def best_record(self) -> ScoredRecord:
-        if not self._generations:
+        """Best record of the buffer; ties keep the earliest generation."""
+        if not self._bests:
             raise ValueError("buffer is empty")
-        best = self.best_in(0)
-        for g in range(1, self.n_generations):
-            candidate = self.best_in(g)
-            if candidate.score > best.score:
-                best = candidate
-        return best
+        return max(self._bests, key=lambda record: record.score)
 
 
 @dataclass(frozen=True)
@@ -374,9 +368,13 @@ def evaluate_designs(
     problem: Problem,
     designs: np.ndarray,
     generation: int,
-    max_workers: int = 1,
+    mapper: Callable = map,
 ) -> list[ScoredRecord]:
-    """Score a population; per-design failures become penalty records."""
+    """Score a population; per-design failures become penalty records.
+
+    ``mapper`` applies the scoring to the designs in order: the builtin
+    ``map``, or a thread pool's ``map`` to score several at once.
+    """
 
     def score_one(design: np.ndarray) -> tuple[float, str]:
         try:
@@ -385,11 +383,7 @@ def evaluate_designs(
             return float(problem.penalty_score), STATUS_FAILED
 
     designs = np.asarray(designs, dtype=float)
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            outcomes = list(pool.map(score_one, designs))
-    else:
-        outcomes = [score_one(design) for design in designs]
+    outcomes = list(mapper(score_one, designs))
     return [
         ScoredRecord(design=design, score=score, generation=generation, status=status)
         for design, (score, status) in zip(designs, outcomes)
@@ -410,7 +404,10 @@ def run_optimization(
     else the central half of the box.  When ``initial_buffer`` already
     holds complete generations the loop continues after them and
     reproduces exactly what an uninterrupted run would have done.  Returns
-    the buffer (``initial_buffer`` itself when given).
+    the buffer (``initial_buffer`` itself when given).  With
+    ``config.max_workers`` above 1, one thread pool of that many workers
+    scores the designs of every generation; otherwise they are scored on
+    the calling thread.
     """
     bounds = problem.bounds
     init_range = (
@@ -418,11 +415,14 @@ def run_optimization(
     )
     config = replace(config, init_range=init_range)
     buffer = initial_buffer if initial_buffer is not None else RecordBuffer()
-    for generation in range(buffer.n_generations, config.budget):
-        rng = generation_rng(config.seed, generation)
-        designs = strategy.ask(buffer, rng, bounds, config)
-        records = evaluate_designs(problem, designs, generation, config.max_workers)
-        buffer.append_generation(records)
-        if on_generation is not None:
-            on_generation(records)
+    # The pool starts its threads on first use, so a serial run starts none.
+    with ThreadPoolExecutor(max_workers=config.max_workers) as pool:
+        mapper = pool.map if config.max_workers > 1 else map
+        for generation in range(buffer.n_generations, config.budget):
+            rng = generation_rng(config.seed, generation)
+            designs = strategy.ask(buffer, rng, bounds, config)
+            records = evaluate_designs(problem, designs, generation, mapper)
+            buffer.append_generation(records)
+            if on_generation is not None:
+                on_generation(records)
     return buffer

@@ -114,7 +114,7 @@ def ga_step(
         child[crossed] = blended[crossed]
         mutated = rng.random(d) < cfg.mutation_rate
         noise = sigma * rng.standard_normal(d)
-        child[mutated] += np.asarray(noise)[mutated] if np.ndim(noise) else noise
+        child[mutated] += noise[mutated]
         next_designs[slot] = child
     return bounds.clamp(next_designs)
 

@@ -22,13 +22,7 @@ from .axisym import (
     rescale_to_constraint,
 )
 from .evolution import Bounds, EvaluationFailed, EvaluatorFatal
-from .stokesbem import (
-    DragResult,
-    MeshError,
-    profile_to_mesh,
-    solve_drag,
-    solve_tractions,
-)
+from .stokesbem import DragResult, MeshError, profile_to_mesh, solve_drag
 
 COEFF_BOUND = math.pi  # tangent-angle coefficients beyond |pi| fold the meridian
 AXISYM_PENALTY = -1.0e3
@@ -133,12 +127,6 @@ class AxisymDragProblem:
     def evaluate(self, x: np.ndarray) -> float:
         score, _, _ = self.evaluate_detail(x)
         return score
-
-    def traction_profile(self, x: np.ndarray):
-        """Mesh and solved tractions (q_r, q_z) for diagnostics exports."""
-        profile = self._constrained_profile(x)
-        mesh = profile_to_mesh(profile, self.n_elements)
-        return mesh, solve_tractions(mesh)
 
 
 @dataclass

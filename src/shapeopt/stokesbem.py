@@ -29,11 +29,7 @@ thread, whatever n is.  Those pages stay mapped between solves, so a
 solve does not fault its temporaries in again.  Each block evaluates the
 elliptic forms over all its points and overwrites the small-m entries
 with their series.  The operations and their order do not depend on the
-blocking, so the results are the same bits for any block size.  On a
-2-vCPU Xeon VM with BLAS on one thread, one ``evaluate`` at K = 2,
-n = 120 takes a median of 5.4-5.7 ms with no page faults, against
-5.0-6.9 ms and about 780 faults per call with whole-array temporaries;
-at K = 5, n = 240 it takes 14-17 ms against 19-22 ms and 3,783 faults.
+blocking, so the results are the same bits for any block size.
 The dense system, in the one block layout ``[[rr, rz], [zr, zz]]``, is
 solved directly, and drag is reported both raw (unit viscosity, unit
 stream speed) and normalized by the Stokes drag of the unit sphere.
@@ -58,11 +54,9 @@ conditioned, and its tractions carry no gauge component.
 
 from __future__ import annotations
 
-import csv
 import threading
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from pathlib import Path
 
 import numpy as np
 from scipy.special import binom, ellipe, ellipkm1
@@ -88,7 +82,6 @@ __all__ = [
     "MeshError",
     "SPHERE_DRAG",
     "assemble_single_layer",
-    "export_traction_csv",
     "mesh_from_meridian",
     "profile_to_mesh",
     "ring_stokeslet",
@@ -407,18 +400,9 @@ def profile_to_mesh(profile: BodyProfile, n_elements: int) -> BoundaryMesh:
 _FAR_GAP = 8
 
 
-@lru_cache(maxsize=8)
-def _gauss(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [-1, 1], shared and read-only."""
-    rule = np.polynomial.legendre.leggauss(order)
-    for array in rule:
-        array.flags.writeable = False
-    return rule
-
-
 def _panel_rule(edges, order: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss nodes and weights on the panels between ``edges`` in [0, 1]."""
-    xi, wq = _gauss(order)
+    xi, wq = np.polynomial.legendre.leggauss(order)
     edges = np.asarray(edges)
     half = 0.5 * np.diff(edges)[:, None]
     nodes = 0.5 * (edges[:-1] + edges[1:])[:, None] + half * xi
@@ -625,35 +609,26 @@ def solve_tractions(
 
 @dataclass(frozen=True)
 class DragResult:
-    """Axial drag force and its ratio to the unit-sphere Stokes drag."""
+    """Axial drag force, its ratio to the unit-sphere Stokes drag, and the
+    mesh and midpoint tractions ``(q_r, q_z)`` it was integrated from."""
 
     drag: float
     normalized: float
-    n_elements: int
+    mesh: BoundaryMesh
+    q_r: np.ndarray
+    q_z: np.ndarray
+
+    @property
+    def n_elements(self) -> int:
+        return self.mesh.n_elements
 
 
 def solve_drag(
     mesh: BoundaryMesh, quad_order: int = 8, self_order: int = 12
 ) -> DragResult:
     """Drag of the meshed body held fixed in a unit stream along z."""
-    _, q_z = solve_tractions(mesh, quad_order, self_order)
+    q_r, q_z = solve_tractions(mesh, quad_order, self_order)
     force = float(2.0 * np.pi * np.sum(mesh.midpoint_r * mesh.widths * q_z))
     return DragResult(
-        drag=force, normalized=force / SPHERE_DRAG, n_elements=mesh.n_elements
+        drag=force, normalized=force / SPHERE_DRAG, mesh=mesh, q_r=q_r, q_z=q_z
     )
-
-
-def export_traction_csv(mesh: BoundaryMesh, q_r, q_z, path) -> None:
-    """Write midpoint tractions as CSV columns (s, f_r, f_z).
-
-    ``s`` is the arclength position rescaled to [-1, 1] to mirror the
-    profile parametrization.
-    """
-    length = mesh.total_arclength
-    s_mid = 2.0 * mesh.midpoints_arc / length - 1.0
-    path = Path(path)
-    with path.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["s", "f_r", "f_z"])
-        for row in zip(s_mid, q_r, q_z):
-            writer.writerow([f"{value:.12g}" for value in row])

@@ -14,7 +14,6 @@ from shapeopt.axisym import (
     compute_area,
     compute_volume,
     cumulative_simpson_uniform,
-    export_profile_csv,
     integrate_profile,
     rescale_to_constraint,
     simpson_uniform,
@@ -187,17 +186,6 @@ def test_refinement_convergence_order():
 def test_negative_radius_detection():
     profile = integrate_profile(np.array([1.0]), n_samples=401)  # inside-out body
     assert profile.min_interior_radius < -1e-3
-
-
-def test_export_profile_csv(tmp_path):
-    profile = integrate_profile(SPHERE, n_samples=201)
-    path = tmp_path / "profile.csv"
-    export_profile_csv(profile, path)
-    rows = path.read_text().splitlines()
-    assert rows[0] == "s,r,z,phi"
-    assert len(rows) == 202
-    first = [float(tok) for tok in rows[1].split(",")]
-    assert first[0] == -1.0 and first[1] == 0.0
 
 
 def test_constraint_validation():

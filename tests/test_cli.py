@@ -127,6 +127,12 @@ def test_parse_config_materializes_defaults():
         {**AIRFOIL, "baseline_ratio": math.nan},
         {**AIRFOIL, "evaluator_timeout": math.inf},
         {**AIRFOIL, "evaluator_timeout": 2.2e6},
+        {"dimension": 2, "target": [1e308, -0.0]},
+        {"dimension": 2, "target": [0.5, -1e308]},
+        {"sigma": 1e308},
+        {"optimizer": "ga", "ga": {"mutation_sigma": 1e308, "mutation_rate": 1.0}},
+        {"optimizer": "ga", "ga": {"blend_alpha": 1e308}},
+        {**AIRFOIL, "handle_fraction": 1e308},
     ],
 )
 def test_parse_config_rejects(overrides):
@@ -302,6 +308,42 @@ def test_main_run_exits_0_or_2_without_traceback(doc, blocked):
     if code == EXIT_CONFIG:
         assert err.getvalue().startswith("config error: ")
         assert err.getvalue().count("\n") == 1
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_runs_at_the_largest_scales_do_not_overflow(tmp_path):
+    stub = tmp_path / "stub.py"
+    stub.write_text(
+        "import json, sys\n"
+        "out = sys.argv[sys.argv.index('--out') + 1]\n"
+        "json.dump({'lift': 1.0, 'drag': 2.0, 'ratio': 0.5}, open(out, 'w'))\n"
+    )
+    big = cli.LARGEST
+    docs = [
+        {**ANALYTIC, "target": [big, -big], "sigma": big},
+        {
+            **ANALYTIC,
+            "optimizer": "ga",
+            "ga": {"blend_alpha": big, "mutation_sigma": big, "mutation_rate": 1.0},
+        },
+        {
+            **AIRFOIL,
+            "optimizer": "mock",
+            "budget": 2,
+            "population_size": 2,
+            "n_ini": 1,
+            "n_F": 2,
+            "samples_per_segment": 8,
+            "handle_fraction": big,
+            "evaluator_command": [sys.executable, str(stub)],
+        },
+    ]
+    for n, doc in enumerate(docs):
+        config = write_config(tmp_path, doc, f"config{n}.json")
+        out = tmp_path / f"run{n}"
+        assert run_cli("run", "--config", config, "--out", str(out)) == EXIT_OK
+        summary = json.loads((out / "seed_0" / "summary.json").read_text())
+        assert math.isfinite(summary["best_score"])
 
 
 def test_parse_config_timeouts_reach_one_day():
@@ -975,8 +1017,15 @@ def test_evaluate_axisym_with_exports(tmp_path, capsys):
     assert report["normalized_drag"] == pytest.approx(1.0, abs=5e-3)
     assert report["scale_lambda"] == pytest.approx(math.pi / 2, rel=1e-4)
     assert report["score"] == -report["normalized_drag"]
-    assert profile_path.read_text().splitlines()[0] == "s,r,z,phi"
-    assert traction_path.read_text().splitlines()[0] == "s,f_r,f_z"
+    profile_rows = profile_path.read_text().splitlines()
+    assert profile_rows[0] == "s,r,z,phi" and len(profile_rows) == 202
+    first = [float(tok) for tok in profile_rows[1].split(",")]
+    assert first[0] == -1.0 and first[1] == 0.0
+    traction_rows = traction_path.read_text().splitlines()
+    assert traction_rows[0] == "s,f_r,f_z" and len(traction_rows) == 41
+    s_values = np.array([float(row.split(",")[0]) for row in traction_rows[1:]])
+    assert -1.0 < s_values[0] and s_values[-1] < 1.0
+    assert np.all(np.diff(s_values) > 0)
 
 
 def test_evaluate_axisym_failed_design_reports_penalty(tmp_path, capsys):
@@ -1078,21 +1127,24 @@ def test_missing_flow_solver_exits_4(tmp_path, capsys, monkeypatch):
 
 
 def test_evaluator_that_cannot_start_exits_4(tmp_path, capsys):
-    doc = {
-        **AIRFOIL,
-        "optimizer": "mock",
-        "budget": 2,
-        "population_size": 2,
-        "n_ini": 1,
-        "seeds": [0],
-        "evaluator_command": ["/nonexistent/evaluator"],
-    }
-    config = write_config(tmp_path, doc)
-    out = tmp_path / "af"
-    assert run_cli("run", "--config", config, "--out", str(out)) == EXIT_EVALUATOR
-    assert "evaluator failure" in capsys.readouterr().err
-    records = out / "seed_0" / "records.jsonl"
-    assert not records.exists() or records.read_text() == ""
+    # with two workers the failure is raised on a worker of the run's pool
+    for workers in (1, 2):
+        doc = {
+            **AIRFOIL,
+            "optimizer": "mock",
+            "budget": 2,
+            "population_size": 2,
+            "n_ini": 1,
+            "seeds": [0],
+            "max_workers": workers,
+            "evaluator_command": ["/nonexistent/evaluator"],
+        }
+        config = write_config(tmp_path, doc)
+        out = tmp_path / f"af{workers}"
+        assert run_cli("run", "--config", config, "--out", str(out)) == EXIT_EVALUATOR
+        assert "evaluator failure" in capsys.readouterr().err
+        records = out / "seed_0" / "records.jsonl"
+        assert not records.exists() or records.read_text() == ""
 
 
 def test_airfoil_run_with_stub_evaluator(tmp_path):

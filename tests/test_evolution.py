@@ -1,5 +1,8 @@
 """Core search loop: encoding, records, selection, sampling, orchestration."""
 
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -117,6 +120,13 @@ def test_best_in_generation_stable_ties():
     buffer = buffer_from_scores([[1.0, 2.0, 2.0]])
     best = buffer.best_in(0)
     assert best.score == 2.0 and best.design[0] == 1.0  # first of the tie
+
+
+def test_best_record_ties_keep_the_earliest_generation():
+    buffer = buffer_from_scores([[1.0, 2.0], [2.0, 0.5], [-np.inf], [2.0]])
+    assert buffer.best_record() is buffer.generation(0)[1]
+    buffer = buffer_from_scores([[-np.inf, -np.inf], [-np.inf]])
+    assert buffer.best_record() is buffer.generation(0)[0]
 
 
 def test_record_status_validation():
@@ -350,9 +360,35 @@ def test_failing_evaluator_records_penalty():
 def test_parallel_evaluation_matches_serial():
     problem = QuadProblem()
     designs = np.random.default_rng(0).uniform(-1, 1, (16, 2))
-    serial = evaluate_designs(problem, designs, 0, max_workers=1)
-    parallel = evaluate_designs(problem, designs, 0, max_workers=4)
+    serial = evaluate_designs(problem, designs, 0)
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        parallel = evaluate_designs(problem, designs, 0, pool.map)
     assert [r.score for r in serial] == [r.score for r in parallel]
+
+
+class ThreadNamingProblem(QuadProblem):
+    """Records the name of every thread that scores a design."""
+
+    def __init__(self):
+        super().__init__()
+        self.threads = set()
+
+    def evaluate(self, x):
+        self.threads.add(threading.current_thread().name)
+        return super().evaluate(x)
+
+
+def test_one_worker_pool_serves_the_whole_run():
+    problem = ThreadNamingProblem()
+    cfg = EsConfig(budget=6, population_size=8, seed=0, max_workers=2)
+    run_optimization(problem, GaussianSearch(CentroidProposer()), cfg)
+    assert 1 <= len(problem.threads) <= 2
+    assert threading.main_thread().name not in problem.threads
+
+    serial = ThreadNamingProblem()
+    cfg = EsConfig(budget=3, population_size=4, seed=0)
+    run_optimization(serial, GaussianSearch(CentroidProposer()), cfg)
+    assert serial.threads == {threading.main_thread().name}
 
 
 def test_best_so_far_monotone():

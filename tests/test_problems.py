@@ -91,8 +91,9 @@ def test_axisym_degenerate_body_fails():
 
 def test_axisym_traction_profile_shapes():
     problem = AxisymDragProblem(n_modes=2, n_elements=40)
-    mesh, (q_r, q_z) = problem.traction_profile(SPHERE)
-    assert q_r.shape == q_z.shape == (40,)
+    _, _, result = problem.evaluate_detail(SPHERE)
+    q_r, q_z = result.q_r, result.q_z
+    assert q_r.shape == q_z.shape == (40,) and result.n_elements == 40
     # a sphere's axial traction is uniform; allow coarse-mesh wiggle
     assert np.std(q_z) / abs(np.mean(q_z)) < 0.05
 

@@ -22,7 +22,6 @@ from shapeopt.stokesbem import (
     CubicHermite,
     MeshError,
     assemble_single_layer,
-    export_traction_csv,
     mesh_from_meridian,
     profile_to_mesh,
     ring_stokeslet,
@@ -616,14 +615,3 @@ def test_mesh_convergence_is_monotone():
         )
     assert errors[0] > errors[1] > errors[2]
 
-
-def test_export_traction_csv(tmp_path):
-    mesh = sphere_mesh(20)
-    q_r, q_z = solve_tractions(mesh)
-    path = tmp_path / "traction.csv"
-    export_traction_csv(mesh, q_r, q_z, path)
-    rows = path.read_text().splitlines()
-    assert rows[0] == "s,f_r,f_z"
-    assert len(rows) == 21
-    s_values = np.array([float(row.split(",")[0]) for row in rows[1:]])
-    assert -1.0 < s_values[0] < s_values[-1] < 1.0
