@@ -449,6 +449,12 @@ def _write_profile(path: Path, profile: BodyProfile) -> None:
     _write_columns(path, ["s", "r", "z", "phi"], *columns)
 
 
+def _write_tractions(path: Path, mesh, q_r, q_z) -> None:
+    # s: the midpoints' arclength rescaled to [-1, 1], as in the profile
+    s = 2.0 * mesh.midpoints_arc / mesh.total_arclength - 1.0
+    _write_columns(path, ["s", "f_r", "f_z"], s, q_r, q_z)
+
+
 def _write_json(path: Path, doc) -> None:
     with _replacing(path) as tmp, open(tmp, "w", encoding="utf-8") as handle:
         json.dump(doc, handle, indent=2)
@@ -699,12 +705,7 @@ def cmd_evaluate(
             _write_profile(Path(profile_out), profile)
             report["profile_csv"] = profile_out
         if traction_out:
-            # s: the midpoints' arclength rescaled to [-1, 1], as in the profile
-            mesh = drag.mesh
-            s = 2.0 * mesh.midpoints_arc / mesh.total_arclength - 1.0
-            _write_columns(
-                Path(traction_out), ["s", "f_r", "f_z"], s, drag.q_r, drag.q_z
-            )
+            _write_tractions(Path(traction_out), drag.mesh, drag.q_r, drag.q_z)
             report["traction_csv"] = traction_out
     if out is None:
         sys.stdout.write(json.dumps(report, indent=2) + "\n")

@@ -19,6 +19,7 @@ from shapeopt.axisym import (
     simpson_uniform,
     tangent_angle,
 )
+from shapeopt.cli import _write_profile
 
 SPHERE = np.array([-math.pi / 2])
 
@@ -186,6 +187,17 @@ def test_refinement_convergence_order():
 def test_negative_radius_detection():
     profile = integrate_profile(np.array([1.0]), n_samples=401)  # inside-out body
     assert profile.min_interior_radius < -1e-3
+
+
+def test_export_profile_csv(tmp_path):
+    profile = integrate_profile(SPHERE, n_samples=201)
+    path = tmp_path / "profile.csv"
+    _write_profile(path, profile)
+    rows = path.read_text().splitlines()
+    assert rows[0] == "s,r,z,phi"
+    assert len(rows) == 202
+    first = [float(tok) for tok in rows[1].split(",")]
+    assert first[0] == -1.0 and first[1] == 0.0
 
 
 def test_constraint_validation():

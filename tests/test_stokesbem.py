@@ -16,6 +16,7 @@ from scipy.interpolate import CubicSpline
 import shapeopt
 from shapeopt import stokesbem
 from shapeopt.axisym import GeometricConstraint, integrate_profile, rescale_to_constraint
+from shapeopt.cli import _write_tractions
 from shapeopt.stokesbem import (
     MAX_ELEMENTS,
     SPHERE_DRAG,
@@ -615,3 +616,14 @@ def test_mesh_convergence_is_monotone():
         )
     assert errors[0] > errors[1] > errors[2]
 
+
+def test_export_traction_csv(tmp_path):
+    mesh = sphere_mesh(20)
+    q_r, q_z = solve_tractions(mesh)
+    path = tmp_path / "traction.csv"
+    _write_tractions(path, mesh, q_r, q_z)
+    rows = path.read_text().splitlines()
+    assert rows[0] == "s,f_r,f_z"
+    assert len(rows) == 21
+    s_values = np.array([float(row.split(",")[0]) for row in rows[1:]])
+    assert -1.0 < s_values[0] < s_values[-1] < 1.0
