@@ -199,7 +199,7 @@ def parse_config(raw: dict) -> dict:
         if block in ("llm", "ga"):
             settings[block] = _read_block(raw.get(block, {}), block)
         _es_config(settings, seed=0)
-        _strategy(settings, 0, Path(settings["output_dir"]), make_problem(settings))
+        _strategy(settings, Path(settings["output_dir"]), make_problem(settings))
     except ConfigError:
         raise
     except (ValueError, TypeError, OverflowError) as exc:
@@ -381,20 +381,19 @@ def _parse_records(
 
 def load_records(
     path: Path, population_size: int, dimension: int | None = None
-) -> tuple[RecordBuffer, int, bool]:
+) -> RecordBuffer:
     """Rebuild the buffer from disk, dropping a partial trailing generation.
 
     A final line without its newline is a write cut short by a kill and is
-    dropped too; any other malformed line, or a design whose length is not
-    ``dimension`` (when given), is an error.  Returns (buffer, records
-    kept, whether the file was rewritten).
+    dropped too, and the file is rewritten without the dropped lines; any
+    other malformed line, or a design whose length is not ``dimension``
+    (when given), is an error.
     """
     buffer, lines, dropped = _parse_records(path, population_size, dimension)
-    kept = len(buffer)
     if dropped:
         with _replacing(path) as tmp, open(tmp, "w", encoding="utf-8") as handle:
-            handle.writelines(line + "\n" for line in lines[:kept])
-    return buffer, kept, dropped
+            handle.writelines(line + "\n" for line in lines[: len(buffer)])
+    return buffer
 
 
 # Keys a resumed run may change: they extend the run or do not touch its records.
@@ -495,10 +494,13 @@ def _write_summary(
     _write_json(path, summary)
 
 
-def _strategy(settings: dict, seed: int, run_dir: Path, problem) -> AskStrategy:
+def _strategy(settings: dict, run_dir: Path, problem) -> AskStrategy:
     if settings["optimizer"] == "ga":
-        size = settings["population_size"]
-        return GaSearch(GaConfig(population_size=size, seed=seed, **settings["ga"]))
+        _require(
+            settings["ga"]["elite_count"] <= settings["population_size"],
+            "ga.elite_count must be at most population_size",
+        )
+        return GaSearch(GaConfig(**settings["ga"]))
     if settings["optimizer"] == "mock":
         return GaussianSearch(MockProposer())
     llm_cfg = LlmConfig(audit_path=str(run_dir / "llm_audit.jsonl"), **settings["llm"])
@@ -512,7 +514,6 @@ def run_single_seed(settings: dict, seed: int, resume: bool) -> Path:
     snapshot = {**settings, "seeds": [seed]}
 
     buffer = RecordBuffer()
-    kept = 0
     if records_path.exists() and records_path.stat().st_size > 0:
         if not resume:
             raise ConfigError(
@@ -521,14 +522,14 @@ def run_single_seed(settings: dict, seed: int, resume: bool) -> Path:
         population_size = settings["population_size"]
         dimension = problem.bounds.dimension
         _check_same_run(run_dir, snapshot, population_size, dimension)
-        buffer, kept, _ = load_records(records_path, population_size, dimension)
+        buffer = load_records(records_path, population_size, dimension)
 
     _write_json(run_dir / "config.json", snapshot)  # makes run_dir
 
-    writer = RecordWriter(records_path, problem.bounds, start_index=kept)
+    writer = RecordWriter(records_path, problem.bounds, start_index=len(buffer))
     buffer = run_optimization(
         problem,
-        _strategy(settings, seed, run_dir, problem),
+        _strategy(settings, run_dir, problem),
         _es_config(settings, seed),
         initial_buffer=buffer,
         on_generation=writer,
@@ -555,9 +556,13 @@ def cmd_run(config_path: str, out: str | None, resume: bool) -> int:
 
 
 def _read_trajectory(path: Path) -> np.ndarray:
-    with open(path, encoding="utf-8", newline="") as handle:
-        rows = list(csv.DictReader(handle))
-    return np.array([float(row["best_score_so_far"]) for row in rows])
+    try:
+        with open(path, encoding="utf-8", newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        return np.array([float(row["best_score_so_far"]) for row in rows])
+    except (KeyError, TypeError, ValueError) as exc:
+        # a missing column, a short row, a cell that is not a number
+        raise ConfigError(f"cannot read the trajectory {path}: {exc!r}") from exc
 
 
 def _collect_trajectories(root: Path) -> list[np.ndarray]:

@@ -12,7 +12,7 @@ proposals unambiguous.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Protocol, Sequence
 
 import numpy as np
@@ -282,6 +282,7 @@ class MeanProposer(Protocol):
 
 class Problem(Protocol):
     bounds: Bounds
+    init_range: Bounds  # where seeding generations draw
     penalty_score: float
     objective: str
 
@@ -298,7 +299,6 @@ class EsConfig:
     n_initial: int = 2
     selection: SelectionConfig = field(default_factory=SelectionConfig)
     seed: int = 0
-    init_range: Bounds | None = None  # default: central half of the box
     max_workers: int = 1
 
     def __post_init__(self) -> None:
@@ -315,13 +315,10 @@ class EsConfig:
 
 
 class AskStrategy(Protocol):
-    """Designs of generation ``buffer.n_generations``, drawn from ``rng``.
-
-    The loop passes ``config`` with its ``init_range`` resolved.
-    """
+    """Designs of generation ``buffer.n_generations``, drawn from ``rng``."""
 
     def ask(
-        self, buffer: RecordBuffer, rng: Generator, bounds: Bounds, config: EsConfig
+        self, buffer: RecordBuffer, rng: Generator, problem: Problem, config: EsConfig
     ) -> np.ndarray: ...
 
 
@@ -337,11 +334,12 @@ class GaussianSearch:
     proposer: MeanProposer
 
     def ask(
-        self, buffer: RecordBuffer, rng: Generator, bounds: Bounds, config: EsConfig
+        self, buffer: RecordBuffer, rng: Generator, problem: Problem, config: EsConfig
     ) -> np.ndarray:
+        bounds = problem.bounds
         dimension = bounds.dimension
         if buffer.n_generations < config.n_initial:
-            mean = config.init_range.sample_uniform(rng)
+            mean = problem.init_range.sample_uniform(rng)
         else:
             records = select_records(buffer, config.selection)
             mean = np.asarray(self.proposer.propose(records, bounds), dtype=float)
@@ -400,27 +398,20 @@ def run_optimization(
 ) -> RecordBuffer:
     """Run (or continue) the ask-evaluate-tell loop up to the generation budget.
 
-    The seeding range is ``config.init_range``, else the problem's own,
-    else the central half of the box.  When ``initial_buffer`` already
-    holds complete generations the loop continues after them and
-    reproduces exactly what an uninterrupted run would have done.  Returns
-    the buffer (``initial_buffer`` itself when given).  With
-    ``config.max_workers`` above 1, one thread pool of that many workers
-    scores the designs of every generation; otherwise they are scored on
-    the calling thread.
+    When ``initial_buffer`` already holds complete generations the loop
+    continues after them and reproduces exactly what an uninterrupted run
+    would have done.  Returns the buffer (``initial_buffer`` itself when
+    given).  With ``config.max_workers`` above 1, one thread pool of that
+    many workers scores the designs of every generation; otherwise they
+    are scored on the calling thread.
     """
-    bounds = problem.bounds
-    init_range = (
-        config.init_range or getattr(problem, "init_range", None) or bounds.central(0.5)
-    )
-    config = replace(config, init_range=init_range)
     buffer = initial_buffer if initial_buffer is not None else RecordBuffer()
     # The pool starts its threads on first use, so a serial run starts none.
     with ThreadPoolExecutor(max_workers=config.max_workers) as pool:
         mapper = pool.map if config.max_workers > 1 else map
         for generation in range(buffer.n_generations, config.budget):
             rng = generation_rng(config.seed, generation)
-            designs = strategy.ask(buffer, rng, bounds, config)
+            designs = strategy.ask(buffer, rng, problem, config)
             records = evaluate_designs(problem, designs, generation, mapper)
             buffer.append_generation(records)
             if on_generation is not None:

@@ -30,18 +30,14 @@ __all__ = ["GaConfig", "GaSearch", "ga_step", "run_ga"]
 class GaConfig:
     """Operator rates and sizes; sigma defaults to 0.1 of the half-width."""
 
-    population_size: int = 8
     tournament_size: int = 2
     crossover_rate: float = 0.9
     blend_alpha: float = 0.5
     mutation_rate: float = 0.2
     mutation_sigma: float | np.ndarray | None = None
     elite_count: int = 1
-    seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.population_size < 1:
-            raise ValueError("population_size must be at least 1")
         if self.tournament_size < 2:
             raise ValueError("tournament_size must be at least 2")
         if not 0.0 <= self.crossover_rate <= 1.0:
@@ -54,8 +50,8 @@ class GaConfig:
             np.asarray(self.mutation_sigma) <= 0.0
         ):
             raise ValueError("mutation_sigma must be positive")
-        if not 0 <= self.elite_count <= self.population_size:
-            raise ValueError("elite_count must lie in [0, population_size]")
+        if self.elite_count < 0:
+            raise ValueError("elite_count must be non-negative")
 
 
 def _resolved_sigma(cfg: GaConfig, bounds: Bounds) -> np.ndarray | float:
@@ -78,7 +74,7 @@ def ga_step(
     bounds: Bounds,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Produce the next population of designs from a scored one.
+    """Produce the next population of designs from a scored one, of its size.
 
     The elite designs are copied verbatim (ties keep evaluation order);
     every remaining slot crosses two tournament winners component-wise —
@@ -87,8 +83,8 @@ def ga_step(
     then mutates and clamps.
     """
     records = list(population)
-    if len(records) != cfg.population_size:
-        raise ValueError("population size does not match the configuration")
+    if cfg.elite_count > len(records):
+        raise ValueError("elite_count exceeds the population size")
     designs = np.array([rec.design for rec in records], dtype=float)
     scores = np.array([rec.score for rec in records], dtype=float)
     d = bounds.dimension
@@ -100,7 +96,7 @@ def ga_step(
     elite = np.sort(np.argsort(-scores, kind="stable")[: cfg.elite_count])
     next_designs[: cfg.elite_count] = designs[elite]
 
-    for slot in range(cfg.elite_count, cfg.population_size):
+    for slot in range(cfg.elite_count, len(records)):
         pa = designs[_tournament_pick(scores, cfg.tournament_size, rng)]
         pb = designs[_tournament_pick(scores, cfg.tournament_size, rng)]
         child = pa.copy()
@@ -123,45 +119,29 @@ def ga_step(
 class GaSearch:
     """Ask strategy: a uniform population in the seeding range, then ga_step.
 
-    Of the loop config only ``init_range`` is read; ``cfg`` sets the rest.
+    Of the loop config only ``population_size`` is read; ``cfg`` sets the rest.
     """
 
     cfg: GaConfig
 
     def ask(
-        self, buffer: RecordBuffer, rng: Generator, bounds: Bounds, config: EsConfig
+        self, buffer: RecordBuffer, rng: Generator, problem: Problem, config: EsConfig
     ) -> np.ndarray:
         if buffer.n_generations == 0:
-            return config.init_range.sample_uniform(rng, self.cfg.population_size)
+            return problem.init_range.sample_uniform(rng, config.population_size)
         parents = buffer.generation(buffer.n_generations - 1)
-        return ga_step(parents, self.cfg, bounds, rng)
+        return ga_step(parents, self.cfg, problem.bounds, rng)
 
 
 def run_ga(
     problem: Problem,
     cfg: GaConfig,
-    n_steps: int,
+    config: EsConfig,
     *,
-    init_range: Bounds | None = None,
     initial_buffer: RecordBuffer | None = None,
     on_generation: Callable[[list[ScoredRecord]], None] | None = None,
-    max_workers: int = 1,
 ) -> RecordBuffer:
-    """Initial population plus ``n_steps`` generational updates.
-
-    Generation 0 is uniform in the seeding range; n_steps = 0 evaluates it
-    and stops.  Each generation draws from its own seed-keyed stream, so a
-    run resumed from complete persisted generations continues bit-exactly.
-    """
-    if n_steps < 0:
-        raise ValueError("n_steps must be non-negative")
-    config = EsConfig(
-        budget=n_steps + 1,
-        population_size=cfg.population_size,
-        seed=cfg.seed,
-        init_range=init_range,
-        max_workers=max_workers,
-    )
+    """The search loop with :class:`GaSearch` as its ask strategy."""
     return run_optimization(
         problem,
         GaSearch(cfg),

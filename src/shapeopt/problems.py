@@ -43,10 +43,11 @@ class QuadraticProblem:
 
     dimension: int = 3
     target: np.ndarray | None = None
-    penalty_score: float = -1.0e3
+    penalty_score = -1.0e3
 
     def __post_init__(self) -> None:
         self.bounds = Bounds.uniform(self.dimension, -1.0, 1.0)
+        self.init_range = self.bounds.central(0.5)
         if self.target is None:
             self.target = np.full(self.dimension, 0.3)
         self.target = np.asarray(self.target, dtype=float)
@@ -77,7 +78,7 @@ class AxisymDragProblem:
     )
     n_samples: int = 801
     n_elements: int = 120
-    penalty_score: float = AXISYM_PENALTY
+    penalty_score = AXISYM_PENALTY
 
     def __post_init__(self) -> None:
         if not 1 <= self.n_modes <= 8:
@@ -144,7 +145,7 @@ class AirfoilProblem:
     evaluator: af.EvaluatorConfig | None = None
     samples_per_segment: int = 32
     handle_fraction: float = 0.3
-    penalty_score: float = af.FAILURE_REWARD
+    penalty_score = af.FAILURE_REWARD
 
     def __post_init__(self) -> None:
         if not 1 <= self.n_free_points <= af.N_CONTROL_POINTS:
@@ -161,6 +162,7 @@ class AirfoilProblem:
         if not self.handle_fraction > 0.0:
             raise ValueError("handle_fraction must be positive")
         self.bounds = Bounds.uniform(3 * self.n_free_points, -1.0, 1.0)
+        self.init_range = self.bounds.central(0.5)
         self.objective = (
             "maximize the shaped reward of the time-averaged lift-to-drag"
             " ratio of a closed airfoil profile relative to a reference body"

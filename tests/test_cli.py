@@ -31,6 +31,7 @@ from shapeopt.cli import (
     main,
     parse_config,
 )
+from shapeopt.evolution import EsConfig
 from shapeopt.ga import GaConfig, run_ga
 from shapeopt.problems import AirfoilProblem, AxisymDragProblem, QuadraticProblem
 
@@ -193,6 +194,16 @@ def test_parse_config_llm_block():
     doc["llm"]["temperature"] = 0.5
     with pytest.raises(ConfigError, match="unknown llm"):
         parse_config(doc)
+
+
+def test_ga_elite_count_above_population_exits_2(tmp_path, capsys):
+    doc = {**ANALYTIC, "optimizer": "ga", "ga": {"elite_count": 4}}
+    config = write_config(tmp_path, doc)
+    out = tmp_path / "runs"
+    assert run_cli("run", "--config", config, "--out", str(out)) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "ga.elite_count" in err
+    assert not out.exists()
 
 
 def test_parse_config_ga_block():
@@ -811,8 +822,9 @@ def test_ga_cli_matches_library_loop(tmp_path):
 
     problem = QuadraticProblem(dimension=2)
     library = tmp_path / "library.jsonl"
-    cfg = GaConfig(population_size=3, seed=4, **ga)
-    run_ga(problem, cfg, budget - 1, on_generation=RecordWriter(library, problem.bounds))
+    config = EsConfig(budget=budget, population_size=3, seed=4)
+    writer = RecordWriter(library, problem.bounds)
+    run_ga(problem, GaConfig(**ga), config, on_generation=writer)
     assert (tmp_path / "cli" / "seed_4" / "records.jsonl").read_bytes() == (
         library.read_bytes()
     )
@@ -855,8 +867,8 @@ def test_load_records_drops_partial_tail(tmp_path):
     rows.append({"generation": 2, "design": [0.0], "encoded": [500],
                  "score": 9.0, "status": "ok", "timestamp": 4})
     path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
-    buffer, kept, dropped = load_records(path, population_size=2)
-    assert (buffer.n_generations, kept, dropped) == (2, 4, True)
+    buffer = load_records(path, population_size=2)
+    assert (buffer.n_generations, len(buffer)) == (2, 4)
     assert len(path.read_text().splitlines()) == 4
 
 
@@ -959,6 +971,27 @@ def test_compare_missing_directory(tmp_path, capsys):
     out = tmp_path / "x.csv"
     code = run_cli("compare", "--runs", str(tmp_path / "nope"), "--out", str(out))
     assert code == EXIT_CONFIG
+
+
+@pytest.mark.parametrize(
+    "table",
+    [
+        "generation,best_score_in_generation,best_score_so_far\n0,-1.0,abc\n",
+        "generation,best_score_in_generation\n0,-1.0\n",
+        "generation,best_score_in_generation,best_score_so_far\n0,-1.0\n",
+    ],
+    ids=["non_numeric_cell", "missing_column", "short_row"],
+)
+def test_compare_malformed_trajectory_exits_2(tmp_path, capsys, table):
+    trajectory = tmp_path / "seed_0" / "trajectory.csv"
+    trajectory.parent.mkdir()
+    trajectory.write_text(table)
+    out = tmp_path / "x.csv"
+    code = run_cli("compare", "--runs", str(tmp_path / "seed_0"), "--out", str(out))
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and str(trajectory) in err
+    assert not out.exists()
 
 
 # ------------------------------------------------------------------ sweep-nini

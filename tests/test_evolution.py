@@ -279,6 +279,7 @@ def test_generation_rng_streams():
 class QuadProblem:
     def __init__(self, dimension=2, center=0.3):
         self.bounds = Bounds.uniform(dimension, -1.0, 1.0)
+        self.init_range = self.bounds.central(0.5)
         self.center = np.full(dimension, center)
         self.penalty_score = -100.0
         self.objective = "test objective"

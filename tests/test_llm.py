@@ -379,6 +379,7 @@ def local_endpoint():
     _Handler.seen = []
     yield f"http://127.0.0.1:{server.server_address[1]}/v1/chat/completions"
     server.shutdown()
+    server.server_close()
     thread.join()
 
 
