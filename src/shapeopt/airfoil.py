@@ -21,6 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .evolution import DAY
+
 RHO_MIN = 0.6
 RHO_MAX = 3.0
 SECTOR_SPACING = math.pi / 4  # angular distance between sector centers
@@ -276,8 +278,8 @@ class EvaluatorConfig:
     baseline_ratio: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.timeout is not None and not self.timeout > 0.0:
-            raise ValueError("evaluator timeout must be positive or null")
+        if self.timeout is not None and not 0.0 < self.timeout <= DAY:
+            raise ValueError(f"evaluator timeout must lie in (0, {DAY:g}] s or be None")
 
 
 class EvaluatorError(Exception):

@@ -19,6 +19,13 @@ import numpy as np
 from numpy.random import Generator
 
 ENCODING_STEPS = 1000
+# Largest magnitude of a number that scales or shifts designs and draws:
+# far beyond any useful value, and far below where float64 arithmetic on
+# it overflows.
+LARGEST = 1.0e6
+# Longest timeout in seconds; subprocess and socket waits overflow far
+# beyond it (poll takes int milliseconds, about 2.1e6 s).
+DAY = 86400.0
 
 STATUS_OK = "ok"
 STATUS_FAILED = "failed"
@@ -26,11 +33,13 @@ STATUS_FAILED = "failed"
 __all__ = [
     "AskStrategy",
     "Bounds",
+    "DAY",
     "ENCODING_STEPS",
     "EsConfig",
     "EvaluationFailed",
     "EvaluatorFatal",
     "GaussianSearch",
+    "LARGEST",
     "MeanProposer",
     "Problem",
     "ProposerError",
@@ -305,11 +314,13 @@ class EsConfig:
         if self.population_size < 1:
             raise ValueError("population_size must be at least 1")
         if self.n_initial < 1:
-            raise ValueError("need at least one seeding generation")
+            raise ValueError("n_initial (n_ini) must be at least 1")
         if self.budget < 1:
             raise ValueError("budget must be at least one generation")
-        if self.sigma is not None and not self.sigma > 0.0:
-            raise ValueError("sigma must be positive")
+        if self.sigma is not None and not 0.0 < self.sigma <= LARGEST:
+            raise ValueError(f"sigma must lie in (0, {LARGEST:g}]")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         if self.max_workers < 1:
             raise ValueError("max_workers must be at least 1")
 

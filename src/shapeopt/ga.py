@@ -15,6 +15,7 @@ import numpy as np
 from numpy.random import Generator
 
 from .evolution import (
+    LARGEST,
     Bounds,
     EsConfig,
     Problem,
@@ -34,7 +35,7 @@ class GaConfig:
     crossover_rate: float = 0.9
     blend_alpha: float = 0.5
     mutation_rate: float = 0.2
-    mutation_sigma: float | np.ndarray | None = None
+    mutation_sigma: float | None = None
     elite_count: int = 1
 
     def __post_init__(self) -> None:
@@ -42,22 +43,14 @@ class GaConfig:
             raise ValueError("tournament_size must be at least 2")
         if not 0.0 <= self.crossover_rate <= 1.0:
             raise ValueError("crossover_rate must lie in [0, 1]")
-        if not self.blend_alpha > 0.0:
-            raise ValueError("blend_alpha must be positive")
+        if not 0.0 < self.blend_alpha <= LARGEST:
+            raise ValueError(f"blend_alpha must lie in (0, {LARGEST:g}]")
         if not 0.0 <= self.mutation_rate <= 1.0:
             raise ValueError("mutation_rate must lie in [0, 1]")
-        if self.mutation_sigma is not None and np.any(
-            np.asarray(self.mutation_sigma) <= 0.0
-        ):
-            raise ValueError("mutation_sigma must be positive")
+        if self.mutation_sigma is not None and not 0.0 < self.mutation_sigma <= LARGEST:
+            raise ValueError(f"mutation_sigma must lie in (0, {LARGEST:g}] or be None")
         if self.elite_count < 0:
             raise ValueError("elite_count must be non-negative")
-
-
-def _resolved_sigma(cfg: GaConfig, bounds: Bounds) -> np.ndarray | float:
-    if cfg.mutation_sigma is not None:
-        return cfg.mutation_sigma
-    return 0.1 * bounds.half_width
 
 
 def _tournament_pick(
@@ -88,7 +81,7 @@ def ga_step(
     designs = np.array([rec.design for rec in records], dtype=float)
     scores = np.array([rec.score for rec in records], dtype=float)
     d = bounds.dimension
-    sigma = _resolved_sigma(cfg, bounds)
+    sigma = cfg.mutation_sigma or 0.1 * bounds.half_width
 
     next_designs = np.empty_like(designs)
     # stable descending order: negated scores keep ties in evaluation order;

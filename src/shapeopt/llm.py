@@ -19,8 +19,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .evolution import (
-    Bounds,
+    DAY,
     ENCODING_STEPS,
+    Bounds,
     ProposerError,
     ScoredRecord,
     decode_design,
@@ -71,8 +72,8 @@ class LlmConfig:
     def __post_init__(self) -> None:
         if self.max_retries < 0:
             raise ValueError("max_retries must be non-negative")
-        if not self.timeout > 0.0:
-            raise ValueError("timeout must be positive")
+        if not 0.0 < self.timeout <= DAY:
+            raise ValueError(f"timeout must lie in (0, {DAY:g}] seconds")
 
 
 @dataclass
@@ -198,10 +199,10 @@ def _http_transport(cfg: LlmConfig) -> Callable[[dict], str]:
             )
             response.raise_for_status()
             body = response.json()
+        except requests.JSONDecodeError as exc:  # also a RequestException
+            raise TransportError(f"response is not JSON: {exc}") from exc
         except requests.RequestException as exc:
             raise TransportError(f"request failed: {exc}") from exc
-        except ValueError as exc:
-            raise TransportError(f"response is not JSON: {exc}") from exc
         return _extract_text(body)
 
     return send

@@ -21,8 +21,8 @@ from .axisym import (
     integrate_profile,
     rescale_to_constraint,
 )
-from .evolution import Bounds, EvaluationFailed, EvaluatorFatal
-from .stokesbem import DragResult, MeshError, profile_to_mesh, solve_drag
+from .evolution import LARGEST, Bounds, EvaluationFailed, EvaluatorFatal
+from .stokesbem import MAX_ELEMENTS, DragResult, MeshError, profile_to_mesh, solve_drag
 
 COEFF_BOUND = math.pi  # tangent-angle coefficients beyond |pi| fold the meridian
 AXISYM_PENALTY = -1.0e3
@@ -53,6 +53,8 @@ class QuadraticProblem:
         self.target = np.asarray(self.target, dtype=float)
         if self.target.shape != (self.dimension,):
             raise ValueError("target has the wrong dimension")
+        if not np.all(np.abs(self.target) <= LARGEST):
+            raise ValueError(f"target entries must lie within +-{LARGEST:g}")
         self.objective = (
             "maximize the score -|x - c|^2, the negative squared distance"
             " to a hidden target point; the maximum score is 0"
@@ -83,8 +85,10 @@ class AxisymDragProblem:
     def __post_init__(self) -> None:
         if not 1 <= self.n_modes <= 8:
             raise ValueError("n_modes must lie in [1, 8]")
-        if self.n_samples % 2 == 0:
-            raise ValueError("n_samples must be odd")
+        if self.n_samples % 2 == 0 or self.n_samples < 201:
+            raise ValueError("n_samples must be odd and at least 201")
+        if not 8 <= self.n_elements <= MAX_ELEMENTS:
+            raise ValueError(f"n_elements must lie in [8, {MAX_ELEMENTS}]")
         self.bounds = Bounds.uniform(self.n_modes, -COEFF_BOUND, COEFF_BOUND)
         # Case-specific seeding: positive leading coefficients integrate to
         # negative radii (inside-out bodies), so initial means center on the
@@ -159,8 +163,10 @@ class AirfoilProblem:
             raise ValueError("free_indices must be distinct and match n_free_points")
         if any(i not in range(af.N_CONTROL_POINTS) for i in self.free_indices):
             raise ValueError("free_indices out of range")
-        if not self.handle_fraction > 0.0:
-            raise ValueError("handle_fraction must be positive")
+        if self.samples_per_segment < 2:
+            raise ValueError("samples_per_segment must be at least 2")
+        if not 0.0 < self.handle_fraction <= LARGEST:
+            raise ValueError(f"handle_fraction must lie in (0, {LARGEST:g}]")
         self.bounds = Bounds.uniform(3 * self.n_free_points, -1.0, 1.0)
         self.init_range = self.bounds.central(0.5)
         self.objective = (

@@ -31,8 +31,10 @@ from shapeopt.cli import (
     main,
     parse_config,
 )
-from shapeopt.evolution import EsConfig
+from shapeopt.airfoil import EvaluatorConfig
+from shapeopt.evolution import LARGEST, EsConfig
 from shapeopt.ga import GaConfig, run_ga
+from shapeopt.llm import LlmConfig
 from shapeopt.problems import AirfoilProblem, AxisymDragProblem, QuadraticProblem
 
 ANALYTIC = {
@@ -157,6 +159,38 @@ def test_parse_config_axisym_limits(overrides):
     doc = {"problem": "axisym_volume", "optimizer": "mock", **overrides}
     with pytest.raises(ConfigError):
         parse_config(doc)
+
+
+# Each range the CLI refuses is refused by the object that uses the value, so
+# a library caller cannot run with a value the CLI would reject.
+REQUIRED_ARGS = {
+    EsConfig: {"budget": 1},
+    LlmConfig: LLM_BLOCK,
+    QuadraticProblem: {"dimension": 2},
+}
+
+
+@pytest.mark.parametrize(
+    "build, name, value",
+    [
+        (EsConfig, "sigma", 1e308),
+        (EsConfig, "seed", -1),
+        (GaConfig, "blend_alpha", 1e308),
+        (GaConfig, "mutation_sigma", 1e308),
+        (LlmConfig, "timeout", 86400.5),
+        (EvaluatorConfig, "timeout", 2.2e6),
+        (QuadraticProblem, "target", [1e308, 0]),
+        (AxisymDragProblem, "n_samples", 199),
+        (AxisymDragProblem, "n_samples", 200),
+        (AxisymDragProblem, "n_elements", 4),
+        (AxisymDragProblem, "n_elements", 500),
+        (AirfoilProblem, "samples_per_segment", 1),
+        (AirfoilProblem, "handle_fraction", 1e308),
+    ],
+)
+def test_owners_refuse_out_of_range_values(build, name, value):
+    with pytest.raises(ValueError, match=name):
+        build(**REQUIRED_ARGS.get(build, {}), **{name: value})
 
 
 def test_parse_config_airfoil_requires_evaluator():
@@ -329,7 +363,7 @@ def test_runs_at_the_largest_scales_do_not_overflow(tmp_path):
         "out = sys.argv[sys.argv.index('--out') + 1]\n"
         "json.dump({'lift': 1.0, 'drag': 2.0, 'ratio': 0.5}, open(out, 'w'))\n"
     )
-    big = cli.LARGEST
+    big = LARGEST
     docs = [
         {**ANALYTIC, "target": [big, -big], "sigma": big},
         {
@@ -1021,6 +1055,17 @@ def test_sweep_nini_rejects_wrong_problem_or_optimizer(tmp_path, capsys):
     config = write_config(tmp_path, AXISYM_TINY, "dup.json")
     assert run_cli("sweep-nini", "--config", config, "--nini", "2", "2",
                    "--out", str(tmp_path / "s3")) == EXIT_CONFIG
+
+
+def test_sweep_nini_bad_value_exits_2_before_any_run(tmp_path, capsys):
+    config = write_config(tmp_path, AXISYM_TINY)
+    out = tmp_path / "sweep"
+    assert run_cli("sweep-nini", "--config", config, "--nini", "2", "0",
+                   "--out", str(out)) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert "n_ini" in err
+    assert not (out / "nini_2").exists()
 
 
 # -------------------------------------------------------------------- evaluate

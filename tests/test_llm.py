@@ -18,6 +18,7 @@ from shapeopt.llm import (
     MockProposer,
     ResponseParseError,
     TransportError,
+    _extract_text,
     _http_transport,
     build_prompt,
     format_reminder,
@@ -341,18 +342,38 @@ def test_content_block_list_replies_are_joined():
     }
 
     def transport(payload):
-        from shapeopt.llm import _extract_text
-
         return _extract_text(body)
 
     mean = propose_mean_via_llm(make_bundle(), make_config(), transport)
     assert np.array_equal(mean, [3, 4])
 
 
+def test_extract_text_joins_content_blocks():
+    # blocks that are not objects, or carry no text, add nothing
+    blocks = [{"type": "text", "text": "[1, "}, {"type": "image"}, "x", {"text": "2]"}]
+    body = {"choices": [{"message": {"content": blocks}}]}
+    assert _extract_text(body) == "[1, 2]"
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ({"error": "overloaded"}, "unexpected response shape"),
+        ({"choices": []}, "unexpected response shape"),
+        ({"choices": [{"message": {"content": 42}}]}, "unsupported content type int"),
+        ({"choices": [{"message": {"content": None}}]}, "unsupported content type"),
+    ],
+)
+def test_extract_text_refuses_other_shapes(body, message):
+    with pytest.raises(TransportError, match=message):
+        _extract_text(body)
+
+
 # ----------------------------------------------------------- http transport
 
 class _Handler(http.server.BaseHTTPRequestHandler):
     seen = []
+    answer = reply("[42, 24]").encode()
 
     def do_POST(self):
         length = int(self.headers["Content-Length"])
@@ -360,7 +381,7 @@ class _Handler(http.server.BaseHTTPRequestHandler):
         type(self).seen.append(
             {"auth": self.headers.get("Authorization"), "body": body}
         )
-        out = reply("[42, 24]").encode()
+        out = type(self).answer
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(out)))
@@ -406,3 +427,11 @@ def test_http_transport_connection_refused_is_transport_error():
     send = _http_transport(cfg)
     with pytest.raises(TransportError):
         send({"model": "m", "temperature": 0.0, "messages": []})
+
+
+def test_http_transport_non_json_body_is_transport_error(local_endpoint, monkeypatch):
+    monkeypatch.setattr(_Handler, "answer", b"<html>busy</html>")
+    send = _http_transport(LlmConfig(endpoint=local_endpoint, model="m"))
+    with pytest.raises(TransportError, match="response is not JSON"):
+        send({"model": "m", "temperature": 0.0, "messages": []})
+    assert len(_Handler.seen) == 1

@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from shapeopt import problems
 from shapeopt.airfoil import EvaluatorConfig
 from shapeopt.axisym import GeometricConstraint
 from shapeopt.evolution import EvaluationFailed, EvaluatorFatal
@@ -15,6 +16,7 @@ from shapeopt.problems import (
     AxisymDragProblem,
     QuadraticProblem,
 )
+from shapeopt.stokesbem import MeshError
 
 SPHERE = np.array([-math.pi / 2, 0.0])
 
@@ -106,6 +108,26 @@ def test_axisym_score_improves_toward_known_optimum():
     assert stretched > sphere_score
 
 
+def raising(exc):
+    def fail(*args):
+        raise exc
+
+    return fail
+
+
+@pytest.mark.parametrize(
+    "name, exc",
+    [
+        ("profile_to_mesh", MeshError("midpoint on the axis")),
+        ("solve_drag", np.linalg.LinAlgError("singular matrix")),
+    ],
+)
+def test_axisym_mesh_and_solver_errors_fail_the_design(monkeypatch, name, exc):
+    monkeypatch.setattr(problems, name, raising(exc))
+    with pytest.raises(EvaluationFailed, match=str(exc)):
+        AxisymDragProblem(n_modes=2).evaluate(SPHERE)
+
+
 # Normalized drags of a fixed design panel at 120 elements, frozen from the
 # solver so that a change to any numerical layer shows at the 12th digit.
 DRAG_PANEL = [
@@ -181,6 +203,20 @@ def test_airfoil_entangled_design_fails(tmp_path):
     )
     with pytest.raises(EvaluationFailed, match="entangled"):
         problem.evaluate(crossing)
+
+
+def test_airfoil_coincident_control_points_fail_before_the_evaluator():
+    # points 0 and 1 sit at one radius on the edge their sectors share: a box
+    # corner, which the GA reaches by clamping
+    problem = AirfoilProblem(
+        n_free_points=2, evaluator=EvaluatorConfig(command=["/nonexistent/evaluator"])
+    )
+    design = np.array([0.2, 1.0, 0.0, 0.2, -1.0, 0.0])
+    with pytest.raises(EvaluationFailed, match="coincident"):
+        problem.curve(design)
+    # an evaluator that cannot start would raise EvaluatorFatal instead
+    with pytest.raises(EvaluationFailed, match="coincident"):
+        problem.evaluate(design)
 
 
 def test_airfoil_no_evaluator_is_fatal():
