@@ -16,7 +16,7 @@ import json
 import math
 import subprocess
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -272,12 +272,14 @@ def read_result_file(path: str | Path) -> FlowPerformance:
 class EvaluatorConfig:
     """External flow evaluator: command prefix plus flow conditions."""
 
-    command: list[str] = field(default_factory=list)
+    command: list[str]
     reynolds: float = 100.0
     timeout: float | None = 300.0  # seconds; None waits without limit
     baseline_ratio: float = 0.0
 
     def __post_init__(self) -> None:
+        if not self.command:
+            raise ValueError("evaluator command must not be empty")
         if self.timeout is not None and not 0.0 < self.timeout <= DAY:
             raise ValueError(f"evaluator timeout must lie in (0, {DAY:g}] s or be None")
 
@@ -305,8 +307,6 @@ def external_evaluate(curve: AirfoilCurve, cfg: EvaluatorConfig) -> FlowPerforma
     message quotes the last line the evaluator wrote to stderr.  A command
     that cannot be started raises OSError.
     """
-    if not cfg.command:
-        raise ValueError("no evaluator command configured")
     with tempfile.TemporaryDirectory(prefix="airfoil-eval-") as scratch:
         geometry = Path(scratch) / "geometry.txt"
         result = Path(scratch) / "result.json"

@@ -24,6 +24,8 @@ FIXED_AREA = "fixed_area"
 
 # Below this the constrained measure is treated as degenerate.
 _MEASURE_FLOOR = 1e-12
+# Fewest samples of a profile; Simpson's rule also needs an odd count.
+_MIN_SAMPLES = 201
 
 __all__ = [
     "AREA_TARGET",
@@ -33,6 +35,7 @@ __all__ = [
     "GeometricConstraint",
     "InvalidBodyError",
     "VOLUME_TARGET",
+    "check_sample_count",
     "compute_area",
     "compute_volume",
     "cumulative_simpson_uniform",
@@ -49,24 +52,25 @@ class InvalidBodyError(ValueError):
 
 @dataclass(frozen=True)
 class GeometricConstraint:
-    """Fixed-volume or fixed-area normalization applied to a profile."""
+    """Fixed-volume or fixed-area normalization to the unit sphere's measure."""
 
     kind: str
-    target: float
 
     def __post_init__(self) -> None:
         if self.kind not in (FIXED_VOLUME, FIXED_AREA):
             raise ValueError(f"unknown constraint kind {self.kind!r}")
-        if not self.target > 0.0:
-            raise ValueError("constraint target must be positive")
+
+    @property
+    def target(self) -> float:
+        return VOLUME_TARGET if self.kind == FIXED_VOLUME else AREA_TARGET
 
     @classmethod
-    def fixed_volume(cls, target: float = VOLUME_TARGET) -> "GeometricConstraint":
-        return cls(FIXED_VOLUME, float(target))
+    def fixed_volume(cls) -> "GeometricConstraint":
+        return cls(FIXED_VOLUME)
 
     @classmethod
-    def fixed_area(cls, target: float = AREA_TARGET) -> "GeometricConstraint":
-        return cls(FIXED_AREA, float(target))
+    def fixed_area(cls) -> "GeometricConstraint":
+        return cls(FIXED_AREA)
 
 
 @dataclass
@@ -83,10 +87,6 @@ class BodyProfile:
     r: np.ndarray
     z: np.ndarray
     lam: float = 1.0
-
-    @property
-    def n_samples(self) -> int:
-        return self.s.size
 
     @property
     def min_interior_radius(self) -> float:
@@ -152,10 +152,15 @@ def _sample_grid(n_samples: int) -> np.ndarray:
     return (np.arange(n_samples) - half) / half
 
 
+def check_sample_count(n_samples: int) -> None:
+    """Refuse a sample count ``integrate_profile`` cannot use."""
+    if n_samples % 2 == 0 or n_samples < _MIN_SAMPLES:
+        raise ValueError(f"n_samples must be odd and at least {_MIN_SAMPLES}")
+
+
 def integrate_profile(coeffs, n_samples: int = 801) -> BodyProfile:
     """Meridian ``(r, z)`` at unit scale by cumulative quadrature of ``phi``."""
-    if n_samples % 2 == 0 or n_samples < 201:
-        raise ValueError("n_samples must be odd and at least 201")
+    check_sample_count(n_samples)
     s = _sample_grid(n_samples)
     phi = tangent_angle(coeffs, s)
     ds = 2.0 / (n_samples - 1)

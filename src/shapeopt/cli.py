@@ -569,7 +569,9 @@ def cmd_compare(run_dirs: list[str], out: str) -> int:
     for raw in run_dirs:
         root = Path(raw)
         _require(root.exists(), f"run directory {root} does not exist")
-        groups.append((root.name, _collect_trajectories(root)))
+        label = root.name  # heads the method's columns
+        _require(label not in dict(groups), f"two run directories are named {label!r}")
+        groups.append((label, _collect_trajectories(root)))
     lengths = [len(t) for _, ts in groups for t in ts]
     horizon = min(lengths)
     if horizon != max(lengths):
@@ -666,10 +668,7 @@ def cmd_evaluate(
         design.shape == (problem.bounds.dimension,),
         f"design needs {problem.bounds.dimension} components, got {design.size}",
     )
-    _require(
-        problem.bounds.contains(design, atol=1e-9),
-        "design lies outside the problem bounds",
-    )
+    _require(problem.bounds.contains(design), "design lies outside the problem bounds")
     report: dict = {
         "problem": settings["problem"],
         "design": [float(v) for v in design],

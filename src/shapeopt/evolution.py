@@ -26,6 +26,10 @@ LARGEST = 1.0e6
 # Longest timeout in seconds; subprocess and socket waits overflow far
 # beyond it (poll takes int milliseconds, about 2.1e6 s).
 DAY = 86400.0
+# Default Gaussian and GA mutation step, as a fraction of each half-width.
+STEP_FRACTION = 0.1
+# Round-off by which a point may stray outside its box and still lie in it.
+_BOX_SLACK = 1e-9
 
 STATUS_OK = "ok"
 STATUS_FAILED = "failed"
@@ -46,6 +50,7 @@ __all__ = [
     "RecordBuffer",
     "STATUS_FAILED",
     "STATUS_OK",
+    "STEP_FRACTION",
     "ScoredRecord",
     "SelectionConfig",
     "decode_design",
@@ -107,17 +112,14 @@ class Bounds:
     def clamp(self, x: np.ndarray) -> np.ndarray:
         return np.clip(x, self.lower, self.upper)
 
-    def contains(self, x: np.ndarray, atol: float = 0.0) -> bool:
+    def contains(self, x: np.ndarray) -> bool:
         x = np.asarray(x, dtype=float)
-        return bool(
-            np.all(x >= self.lower - atol) and np.all(x <= self.upper + atol)
-        )
+        lower, upper = self.lower - _BOX_SLACK, self.upper + _BOX_SLACK
+        return bool(np.all(x >= lower) and np.all(x <= upper))
 
-    def central(self, fraction: float) -> "Bounds":
-        """Sub-box with the same center and the given fraction of the widths."""
-        if not 0.0 < fraction <= 1.0:
-            raise ValueError("fraction must be in (0, 1]")
-        spread = fraction * self.half_width
+    def central(self) -> "Bounds":
+        """The central half of the box: same center, half the widths."""
+        spread = 0.5 * self.half_width
         return Bounds(self.center - spread, self.center + spread)
 
     def sample_uniform(self, rng: Generator, count: int | None = None) -> np.ndarray:
@@ -135,7 +137,7 @@ def encode_design(x, bounds: Bounds) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape != (bounds.dimension,):
         raise ValueError("design has the wrong dimension")
-    if not bounds.contains(x, atol=1e-9):
+    if not bounds.contains(x):
         raise ValueError("design lies outside the bounds")
     scaled = (bounds.clamp(x) - bounds.lower) / (bounds.upper - bounds.lower)
     grid = np.floor(scaled * ENCODING_STEPS + 0.5).astype(int)
@@ -277,7 +279,7 @@ def sample_generation(
     rng: Generator,
 ) -> np.ndarray:
     """Independent Gaussian draws around the mean, clamped to the box."""
-    if not bounds.contains(mean, atol=1e-9):
+    if not bounds.contains(mean):
         raise ValueError("sampling mean lies outside the bounds")
     noise = rng.standard_normal((population_size, bounds.dimension))
     return bounds.clamp(mean + sigma * noise)
@@ -304,7 +306,7 @@ class EsConfig:
 
     budget: int
     population_size: int = 8
-    sigma: float | None = None  # default: 0.1 of each bound half-width
+    sigma: float | None = None  # default: STEP_FRACTION of each half-width
     n_initial: int = 2
     selection: SelectionConfig = field(default_factory=SelectionConfig)
     seed: int = 0
@@ -359,7 +361,7 @@ class GaussianSearch:
                     f"proposed mean has shape {mean.shape}, expected ({dimension},)"
                 )
             mean = bounds.clamp(mean)
-        sigma = config.sigma if config.sigma is not None else 0.1 * bounds.half_width
+        sigma = config.sigma or STEP_FRACTION * bounds.half_width
         return sample_generation(mean, sigma, config.population_size, bounds, rng)
 
 

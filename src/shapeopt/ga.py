@@ -16,6 +16,7 @@ from numpy.random import Generator
 
 from .evolution import (
     LARGEST,
+    STEP_FRACTION,
     Bounds,
     EsConfig,
     Problem,
@@ -29,7 +30,7 @@ __all__ = ["GaConfig", "GaSearch", "ga_step", "run_ga"]
 
 @dataclass
 class GaConfig:
-    """Operator rates and sizes; sigma defaults to 0.1 of the half-width."""
+    """Operator rates and sizes; sigma defaults to STEP_FRACTION of the half-width."""
 
     tournament_size: int = 2
     crossover_rate: float = 0.9
@@ -81,7 +82,7 @@ def ga_step(
     designs = np.array([rec.design for rec in records], dtype=float)
     scores = np.array([rec.score for rec in records], dtype=float)
     d = bounds.dimension
-    sigma = cfg.mutation_sigma or 0.1 * bounds.half_width
+    sigma = cfg.mutation_sigma or STEP_FRACTION * bounds.half_width
 
     next_designs = np.empty_like(designs)
     # stable descending order: negated scores keep ties in evaluation order;

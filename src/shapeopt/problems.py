@@ -15,9 +15,11 @@ import numpy as np
 
 from . import airfoil as af
 from .axisym import (
+    FIXED_VOLUME,
     BodyProfile,
     GeometricConstraint,
     InvalidBodyError,
+    check_sample_count,
     integrate_profile,
     rescale_to_constraint,
 )
@@ -47,7 +49,7 @@ class QuadraticProblem:
 
     def __post_init__(self) -> None:
         self.bounds = Bounds.uniform(self.dimension, -1.0, 1.0)
-        self.init_range = self.bounds.central(0.5)
+        self.init_range = self.bounds.central()
         if self.target is None:
             self.target = np.full(self.dimension, 0.3)
         self.target = np.asarray(self.target, dtype=float)
@@ -85,8 +87,7 @@ class AxisymDragProblem:
     def __post_init__(self) -> None:
         if not 1 <= self.n_modes <= 8:
             raise ValueError("n_modes must lie in [1, 8]")
-        if self.n_samples % 2 == 0 or self.n_samples < 201:
-            raise ValueError("n_samples must be odd and at least 201")
+        check_sample_count(self.n_samples)
         if not 8 <= self.n_elements <= MAX_ELEMENTS:
             raise ValueError(f"n_elements must lie in [8, {MAX_ELEMENTS}]")
         self.bounds = Bounds.uniform(self.n_modes, -COEFF_BOUND, COEFF_BOUND)
@@ -99,9 +100,7 @@ class AxisymDragProblem:
         lower[0] -= 0.5 * math.pi
         upper[0] -= 0.5 * math.pi
         self.init_range = Bounds(lower, upper)
-        label = (
-            "volume" if self.constraint.kind == "fixed_volume" else "surface area"
-        )
+        label = "volume" if self.constraint.kind == FIXED_VOLUME else "surface area"
         self.objective = (
             "maximize the negative normalized drag of an axisymmetric body in"
             f" slow viscous flow at fixed {label}; the equal-{label} sphere"
@@ -168,7 +167,7 @@ class AirfoilProblem:
         if not 0.0 < self.handle_fraction <= LARGEST:
             raise ValueError(f"handle_fraction must lie in (0, {LARGEST:g}]")
         self.bounds = Bounds.uniform(3 * self.n_free_points, -1.0, 1.0)
-        self.init_range = self.bounds.central(0.5)
+        self.init_range = self.bounds.central()
         self.objective = (
             "maximize the shaped reward of the time-averaged lift-to-drag"
             " ratio of a closed airfoil profile relative to a reference body"
@@ -202,7 +201,7 @@ class AirfoilProblem:
         return curve
 
     def evaluate(self, x: np.ndarray) -> float:
-        if self.evaluator is None or not self.evaluator.command:
+        if self.evaluator is None:
             raise EvaluatorFatal("no flow evaluator configured")
         curve = self.curve(x)
         try:

@@ -13,14 +13,15 @@ knot slopes of the cubic spline through the samples, which makes the
 interpolant that spline.
 Piecewise-constant force densities are collocated at element midpoints.
 One rule table integrates every element pair: the signed gap between
-source and collocation element picks the Gauss panels and order, with
-half the order ``_FAR_GAP`` or more elements apart, panels graded toward
-the neighbours, and the self-element log singularity subtracted and
-integrated analytically.  The table depends only on the element count,
-the mirror and the Gauss orders, so it is built once and cached, with
-its nodes as fractions of the source element.  Each solve then calls the
-kernel twice: once on the far pairs, about 88% of them at n = 120, and
-once on the flat node list of all nearer pairs.  The kernel writes its
+source and collocation element picks the Gauss panels and the fixed
+order, ``QUAD_ORDER`` (8) but half that ``_FAR_GAP`` or more elements
+apart and ``SELF_ORDER`` (12) on the self element, with panels graded
+toward the neighbours, and the self-element log singularity subtracted
+and integrated analytically.  The table depends only on the element
+count and the mirror, so it is built once and cached, with its nodes as
+fractions of the source element.  Each solve then calls the kernel
+twice: once on the far pairs, about 88% of them at n = 120, and once on
+the flat node list of all nearer pairs.  The kernel writes its
 four components into one new ``(4, *shape)`` array, which the caller
 owns.  It computes them block by block, at most ``_BLOCK`` points at a
 time, with every temporary written in place into a fixed set of
@@ -398,6 +399,9 @@ def profile_to_mesh(profile: BodyProfile, n_elements: int) -> BoundaryMesh:
 # Pairs of elements at least this many elements apart are integrated with
 # half the Gauss order of the nearer regular pairs.
 _FAR_GAP = 8
+# Gauss orders of the regular pairs and of the self element's two panels.
+QUAD_ORDER = 8
+SELF_ORDER = 12
 
 
 def _panel_rule(edges, order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -438,15 +442,14 @@ class _RuleTable:
 
 
 @lru_cache(maxsize=8)
-def _rule_table(
-    n: int, mirrored: bool, quad_order: int, self_order: int
-) -> _RuleTable:
+def _rule_table(n: int, mirrored: bool, quad_order: int, self_order: int) -> _RuleTable:
     """The rule table of ``assemble_single_layer``; its arrays are read-only.
 
     The signed gap ``d = j - i`` picks the rule of pair ``(i, j)``: half
     the Gauss order ``_FAR_GAP`` or more apart, the full order nearer,
     panels graded toward the collocation point for the neighbours, and
-    the self element split at its collocation point.
+    the self element split at its collocation point.  The orders are
+    arguments, so they are part of the cache key.
     """
     rows = (n + 1) // 2 if mirrored else n
     d = np.arange(n)[None, :] - np.arange(rows)[:, None]
@@ -509,24 +512,16 @@ def _source_rings(mesh: BoundaryMesh, fractions, weights, elements):
     return np.maximum(r, 1e-14), z, np.clip(r, 0.0, None) * (weights * width)
 
 
-def assemble_single_layer(
-    mesh: BoundaryMesh, quad_order: int = 8, self_order: int = 12
-) -> np.ndarray:
+def assemble_single_layer(mesh: BoundaryMesh) -> np.ndarray:
     """Collocation matrix of the single-layer velocity operator.
 
     The matrix is the block matrix ``[[rr, rz], [zr, zz]]``: radial
     velocity rows over axial velocity rows, radial traction unknowns
-    before axial ones.  A rule table, built once per mesh size, integrates
-    every pair of collocation element ``i`` and source element ``j``; the
-    signed gap ``d = j - i`` picks the rule, which splits element ``j``
-    into Gauss panels.  Pairs ``_FAR_GAP`` or more apart use half the
-    Gauss order of the nearer regular pairs; the neighbours are subdivided
-    with panels graded toward the collocation point; the self element
-    splits at the collocation point and subtracts the logarithmic
-    singularity, which is integrated in closed form.  The kernel is called
-    twice: once on the far pairs' (node, pair) arrays, over which the
-    collocation points broadcast, and once on the flat node list of all
-    nearer pairs.
+    before axial ones.  The cached rule table (``_rule_table``) integrates
+    every pair of collocation element ``i`` and source element ``j``.  The
+    kernel is called twice: once on the far pairs' (node, pair) arrays,
+    over which the collocation points broadcast, and once on the flat node
+    list of all nearer pairs.
 
     On a mirrored mesh only the rows of the first ``ceil(n/2)`` elements
     are assembled, and element ``j`` is folded with its mirror image
@@ -535,11 +530,9 @@ def assemble_single_layer(
     unknowns; for odd ``n`` the middle element has neither a radial
     unknown nor a radial row.
     """
-    if quad_order < 2 or self_order < 2:
-        raise ValueError("quadrature orders must be at least 2")
     n = mesh.n_elements
     rows = (n + 1) // 2 if mesh.mirrored else n
-    table = _rule_table(n, mesh.mirrored, quad_order, self_order)
+    table = _rule_table(n, mesh.mirrored, QUAD_ORDER, SELF_ORDER)
     rc, zc = mesh.midpoint_r, mesh.midpoint_z
     blocks = np.empty((4, rows, n))  # rr, rz, zr, zz over (row, element)
 
@@ -587,14 +580,12 @@ def assemble_single_layer(
     return np.block([[radial[0, :k], axial[1, :k]], [radial[2], axial[3]]])
 
 
-def solve_tractions(
-    mesh: BoundaryMesh, quad_order: int = 8, self_order: int = 12
-) -> tuple[np.ndarray, np.ndarray]:
+def solve_tractions(mesh: BoundaryMesh) -> tuple[np.ndarray, np.ndarray]:
     """Traction densities (q_r, q_z) for a body fixed in a unit stream.
 
     A mirrored mesh is solved folded and unfolded to full length here.
     """
-    matrix = assemble_single_layer(mesh, quad_order, self_order)
+    matrix = assemble_single_layer(mesh)
     n = mesh.n_elements
     k = n // 2 if mesh.mirrored else n  # radial unknowns
     rhs = np.zeros(matrix.shape[0])
@@ -623,11 +614,9 @@ class DragResult:
         return self.mesh.n_elements
 
 
-def solve_drag(
-    mesh: BoundaryMesh, quad_order: int = 8, self_order: int = 12
-) -> DragResult:
+def solve_drag(mesh: BoundaryMesh) -> DragResult:
     """Drag of the meshed body held fixed in a unit stream along z."""
-    q_r, q_z = solve_tractions(mesh, quad_order, self_order)
+    q_r, q_z = solve_tractions(mesh)
     force = float(2.0 * np.pi * np.sum(mesh.midpoint_r * mesh.widths * q_z))
     return DragResult(
         drag=force, normalized=force / SPHERE_DRAG, mesh=mesh, q_r=q_r, q_z=q_z

@@ -344,5 +344,10 @@ def test_external_evaluate_missing_binary():
 
 
 def test_external_evaluate_requires_command():
-    with pytest.raises(ValueError):
-        external_evaluate(build_airfoil_curve(centered_points()), EvaluatorConfig())
+    with pytest.raises(TypeError):
+        EvaluatorConfig()  # the command has no default
+
+
+def test_evaluator_config_refuses_empty_command():
+    with pytest.raises(ValueError, match="command"):
+        EvaluatorConfig(command=[])

@@ -97,7 +97,7 @@ def test_sphere_profile_is_semicircle():
     profile = integrate_profile(SPHERE, n_samples=801)
     # phi = -pi*s/2 integrates to a unit-radius semicircular meridian of
     # radius 2/pi before scaling
-    mid = (profile.n_samples - 1) // 2
+    mid = (profile.s.size - 1) // 2
     assert profile.r[mid] == pytest.approx(2 / math.pi, abs=1e-9)
     assert profile.z[-1] - profile.z[0] == pytest.approx(4 / math.pi, abs=1e-9)
     center = profile.z[0] + 2 / math.pi
@@ -202,8 +202,6 @@ def test_export_profile_csv(tmp_path):
 
 def test_constraint_validation():
     with pytest.raises(ValueError):
-        GeometricConstraint(kind="fixed_volume", target=-1.0)
-    with pytest.raises(ValueError):
-        GeometricConstraint(kind="bogus", target=1.0)
+        GeometricConstraint(kind="bogus")
     assert GeometricConstraint.fixed_volume().target == pytest.approx(VOLUME_TARGET)
     assert GeometricConstraint.fixed_area().target == pytest.approx(AREA_TARGET)

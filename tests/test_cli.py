@@ -165,6 +165,7 @@ def test_parse_config_axisym_limits(overrides):
 # a library caller cannot run with a value the CLI would reject.
 REQUIRED_ARGS = {
     EsConfig: {"budget": 1},
+    EvaluatorConfig: {"command": ["solver"]},
     LlmConfig: LLM_BLOCK,
     QuadraticProblem: {"dimension": 2},
 }
@@ -999,6 +1000,18 @@ def test_compare_truncates_mismatched_budgets(tmp_path, capsys):
     assert run_cli("compare", "--runs", str(a), str(b), "--out", str(out)) == EXIT_OK
     assert "truncating to 3" in capsys.readouterr().err
     assert len(out.read_text().splitlines()) == 1 + 3
+
+
+def test_compare_refuses_runs_with_the_same_name(tmp_path, capsys):
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    a = make_run(tmp_path / "a", "run", [0])
+    b = make_run(tmp_path / "b", "run", [1])
+    out = tmp_path / "x.csv"
+    assert run_cli("compare", "--runs", str(a), str(b), "--out", str(out)) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "'run'" in err
+    assert not out.exists()
 
 
 def test_compare_missing_directory(tmp_path, capsys):

@@ -99,9 +99,16 @@ def test_bounds_validation():
     b = Bounds.uniform(3, -2.0, 4.0)
     assert np.array_equal(b.half_width, [3.0, 3.0, 3.0])
     assert np.array_equal(b.center, [1.0, 1.0, 1.0])
-    central = b.central(0.5)
+    central = b.central()
     assert np.array_equal(central.lower, [-0.5, -0.5, -0.5])
     assert np.array_equal(central.upper, [2.5, 2.5, 2.5])
+
+
+def test_bounds_contain_points_within_round_off():
+    b = Bounds.uniform(2, -1.0, 1.0)
+    assert b.contains([1.0 + 5e-10, -1.0 - 5e-10])
+    assert not b.contains([1.0 + 2e-9, 0.0])
+    assert not b.contains([0.0, -1.0 - 2e-9])
 
 
 # ----------------------------------------------------------------- records
@@ -279,7 +286,7 @@ def test_generation_rng_streams():
 class QuadProblem:
     def __init__(self, dimension=2, center=0.3):
         self.bounds = Bounds.uniform(dimension, -1.0, 1.0)
-        self.init_range = self.bounds.central(0.5)
+        self.init_range = self.bounds.central()
         self.center = np.full(dimension, center)
         self.penalty_score = -100.0
         self.objective = "test objective"

@@ -125,7 +125,7 @@ def test_run_zero_steps_evaluates_initial_population():
     buffer = run_ga(problem, GaConfig(), EsConfig(budget=1, population_size=5))
     assert buffer.n_generations == 1
     assert len(buffer) == 5
-    seeding = problem.bounds.central(0.5)
+    seeding = problem.bounds.central()
     for record in buffer.all_records():
         assert seeding.contains(record.design)
 

@@ -394,13 +394,19 @@ def test_sphere_traction_is_uniform():
     assert np.max(np.abs(q_r)) < 2e-3
 
 
-def test_odd_quadrature_orders_solve():
+def drag_at_order(monkeypatch, mesh, quad_order):
+    monkeypatch.setattr(stokesbem, "QUAD_ORDER", quad_order)
+    return solve_drag(mesh).normalized
+
+
+def test_odd_quadrature_orders_solve(monkeypatch):
     # no regular Gauss node may land on a collocation point
     mesh = sphere_mesh(64)
-    d3 = solve_drag(mesh, quad_order=3).normalized
-    d8 = solve_drag(mesh, quad_order=8).normalized
-    d9 = solve_drag(mesh, quad_order=9).normalized
+    d3 = drag_at_order(monkeypatch, mesh, 3)
+    d8 = drag_at_order(monkeypatch, mesh, 8)
+    d9 = drag_at_order(monkeypatch, mesh, 9)
     assert np.isfinite(d3)
+    assert d3 != d8  # the patched order took effect
     assert abs(d9 - d8) / d8 < 5e-4
 
 
@@ -489,13 +495,13 @@ def reference_blocks(mesh, quad_order=8, self_order=12):
     return blocks / (8.0 * np.pi)
 
 
-def test_assembly_matches_per_rule_reference():
+def test_assembly_matches_per_rule_reference(monkeypatch):
     # The reference places its panels on the absolute arclength, so an
     # eighth-element panel's width carries rounding of up to about 8 n eps
     # relative; the table's fractions of an element do not.
     def check(mesh, *orders):
         n = mesh.n_elements
-        matrix = assemble_single_layer(mesh, *orders)
+        matrix = assemble_single_layer(mesh)
         got = np.stack([matrix[:n, :n], matrix[:n, n:], matrix[n:, :n], matrix[n:, n:]])
         want = reference_blocks(mesh, *orders)
         tolerance = 8 * n * np.finfo(float).eps
@@ -504,6 +510,8 @@ def test_assembly_matches_per_rule_reference():
     for profile, n in zip(random_profiles(71, 3), (9, 40, 121)):
         check(dataclasses.replace(profile_to_mesh(profile, n), mirrored=False))
     for quad_order in (3, 16):
+        monkeypatch.setattr(stokesbem, "QUAD_ORDER", quad_order)
+        monkeypatch.setattr(stokesbem, "SELF_ORDER", 7)
         check(sphere_mesh(30), quad_order, 7)
 
 
@@ -576,10 +584,11 @@ def test_asymmetric_meridian_solves_unfolded():
     assert np.isfinite(result.drag) and result.drag > 0
 
 
-def test_quadrature_order_self_convergence():
+def test_quadrature_order_self_convergence(monkeypatch):
     mesh = sphere_mesh(64)
-    d8 = solve_drag(mesh, quad_order=8).normalized
-    d16 = solve_drag(mesh, quad_order=16).normalized
+    d8 = drag_at_order(monkeypatch, mesh, 8)
+    d16 = drag_at_order(monkeypatch, mesh, 16)
+    assert d16 != d8  # the patched order took effect
     assert abs(d8 - d16) / d16 < 5e-4
 
 
