@@ -9,7 +9,8 @@ axisym      tangent-angle bodies of revolution and measure constraints
 stokesbem   axisymmetric Stokes drag by boundary elements
 ga          real-coded genetic-algorithm baseline (an ask strategy)
 problems    objective definitions binding geometry to the optimizers
-cli         configuration, orchestration, persistence, reporting
+cli         the config schema and the five commands
+rundir      every file a run reads or writes: records, audit, results
 """
 
 from .evolution import (

@@ -1,49 +1,42 @@
 """Command-line runner: configure, run, resume, compare, sweep, evaluate.
 
 One JSON config document describes a run; the only environment input is
-the API key variable named inside it.  Each seed gets its own directory
-with a resolved config snapshot, incremental JSON Lines records, a
-trajectory table, and a summary, so interrupted runs resume bit-exactly
-and finished runs replay bit-exactly from their snapshots.  Every file
-but the appended records is replaced whole, never rewritten in place, so
-a kill leaves either the old file or the new one.
+the API key variable named inside it.  Each seed's files, and the rules
+that let runs resume and replay bit-exactly, belong to ``rundir``.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
-import os
 import sys
-from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterator, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
+from . import rundir
 from .airfoil import EvaluatorConfig
-from .axisym import BodyProfile, GeometricConstraint
+from .axisym import GeometricConstraint
 from .evolution import (
     STATUS_FAILED,
     STATUS_OK,
     AskStrategy,
-    Bounds,
     EsConfig,
     EvaluationFailed,
     EvaluatorFatal,
     GaussianSearch,
     ProposerError,
-    RecordBuffer,
-    ScoredRecord,
     SelectionConfig,
     encode_design,
     run_optimization,
 )
 from .ga import GaConfig, GaSearch
-from .llm import LlmConfig, LlmProposer, MockProposer
+from .llm import LlmConfig, LlmProposer, MockProposer, no_audit
 from .problems import AirfoilProblem, AxisymDragProblem, QuadraticProblem
+# RecordWriter and load_records stay reachable here: benchmark hooks patch them on cli.
+from .rundir import ConfigError, RecordWriter, fits, load_records, require  # noqa: F401
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -111,40 +104,22 @@ CONFIG_KEYS = (
     Key("ga.mutation_sigma", None, "number?"),
     Key("ga.elite_count", 1, "integer"),
 )
-_JSON_TYPES = {"integer": int, "number": (int, float), "string": str}
-
-
-class ConfigError(ValueError):
-    """The configuration document cannot drive a run."""
-
-
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise ConfigError(message)
-
-
-def _fits(kind: str, value) -> bool:
-    if kind.endswith("?"):
-        return value is None or _fits(kind[:-1], value)
-    if kind.endswith(" list"):
-        return isinstance(value, list) and all(_fits(kind[:-5], v) for v in value)
-    return isinstance(value, _JSON_TYPES[kind]) and not isinstance(value, bool)
 
 
 def _read_key(key: Key, value):
     """Check one value against its row; numbers come back as floats."""
     name, _, kind, _, choices = key
-    _require(value is not REQUIRED, f"{name} is required")
+    require(value is not REQUIRED, f"{name} is required")
     null = " or null" if kind.endswith("?") else ""
-    _require(_fits(kind, value), f"{name} must be a JSON {kind.rstrip('?')}{null}")
+    require(fits(kind, value), f"{name} must be a JSON {kind.rstrip('?')}{null}")
     if value is None:
         return None
-    _require(value != [] and value != "", f"{name} must not be empty")
+    require(value != [] and value != "", f"{name} must not be empty")
     for v in value if isinstance(value, list) else [value]:
         # json reads NaN and Infinity, which no key can use
-        _require(not kind.startswith("number") or math.isfinite(v),
-                 f"{name} must be a finite number")
-    _require(not choices or value in choices, f"{name} must be one of {choices}")
+        require(not kind.startswith("number") or math.isfinite(v),
+                f"{name} must be a finite number")
+    require(not choices or value in choices, f"{name} must be one of {choices}")
     if isinstance(value, list):
         return list(value)
     return float(value) if kind.startswith("number") else value
@@ -153,7 +128,7 @@ def _read_key(key: Key, value):
 def _read_block(doc, block: str) -> dict:
     """Values of the table rows one JSON object holds, defaults filled in."""
     label = f"{block} config" if block else "config"
-    _require(isinstance(doc, dict), f"{label} must be a JSON object")
+    require(isinstance(doc, dict), f"{label} must be a JSON object")
     rows = {
         key.name.rpartition(".")[2]: key
         for key in CONFIG_KEYS
@@ -161,7 +136,7 @@ def _read_block(doc, block: str) -> dict:
     }
     known = set(rows) if block else {key.name.partition(".")[0] for key in CONFIG_KEYS}
     unknown = set(doc) - known
-    _require(not unknown, f"unknown {label} keys: {sorted(unknown)}")
+    require(not unknown, f"unknown {label} keys: {sorted(unknown)}")
     values: dict = {}
     for name, key in rows.items():  # "problem" comes first
         if not key.problems or values["problem"] in key.problems:
@@ -182,13 +157,13 @@ def parse_config(raw: dict) -> dict:
     try:
         settings = _read_block(raw, "")
         seeds = settings["seeds"]
-        _require(len(set(seeds)) == len(seeds), "seeds must be distinct")
+        require(len(set(seeds)) == len(seeds), "seeds must be distinct")
         block = settings["optimizer"]
         if block in ("llm", "ga"):
             settings[block] = _read_block(raw.get(block, {}), block)
         for seed in seeds:
             _es_config(settings, seed)
-        _strategy(settings, Path(settings["output_dir"]), make_problem(settings))
+        _strategy(settings, make_problem(settings), no_audit)
     except ConfigError:
         raise
     except (ValueError, TypeError, OverflowError) as exc:
@@ -254,282 +229,36 @@ def _es_config(settings: dict, seed: int) -> EsConfig:
     )
 
 
-@contextmanager
-def _replacing(path: Path) -> Iterator[Path]:
-    """Yield a temp path beside ``path``; move it over ``path`` on success.
-
-    ``os.replace`` within one directory is atomic, so ``path`` holds its
-    old bytes or its new ones, never a torn mix.  The temp file is removed
-    if the block fails; only a kill can leave one behind.  Missing parent
-    directories are made first, and a parent that cannot be made (a path
-    through a regular file, say) is a ConfigError naming ``path``.
-    """
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot write {path}: {exc}") from exc
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        yield tmp
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
-
-
-class RecordWriter:
-    """Appends one JSON line per record; timestamps count evaluations."""
-
-    def __init__(self, path: Path, bounds: Bounds, start_index: int = 0) -> None:
-        self.path = path
-        self.bounds = bounds
-        self.index = start_index
-
-    def __call__(self, records: Sequence[ScoredRecord]) -> None:
-        with open(self.path, "a", encoding="utf-8") as handle:
-            for record in records:
-                encoded = encode_design(record.design, self.bounds)
-                handle.write(
-                    json.dumps(
-                        {
-                            "generation": record.generation,
-                            "design": [float(v) for v in record.design],
-                            "encoded": [int(v) for v in encoded],
-                            "score": float(record.score),
-                            "status": record.status,
-                            "timestamp": self.index,
-                        }
-                    )
-                    + "\n"
-                )
-                self.index += 1
-
-
-def _read_record(entry, dimension: int | None, where: str) -> ScoredRecord:
-    """One parsed records line as a ScoredRecord, or a ConfigError naming it."""
-    _require(isinstance(entry, dict), f"{where} is not a JSON object")
-    g = entry.get("generation")
-    _require(_fits("integer", g) and g >= 0, f"{where} lacks a generation index")
-    design = entry.get("design")
-    _require(
-        _fits("number list", design)
-        and len(design) > 0
-        and dimension in (None, len(design)),
-        f"{where}: design must be a list of {dimension or 'one or more'} numbers",
-    )
-    _require(_fits("number", entry.get("score")), f"{where}: score must be a number")
-    try:
-        return ScoredRecord(
-            np.array(design, dtype=float), entry["score"], g, entry.get("status")
-        )
-    except (ValueError, OverflowError) as exc:  # bad status, or an int beyond float
-        raise ConfigError(f"{where}: {exc}") from exc
-
-
-def _parse_records(
-    path: Path, population_size: int, dimension: int | None
-) -> tuple[RecordBuffer, list[str], bool]:
-    """Check every line of a records file without writing to it.
-
-    Returns the complete generations, the non-blank lines, and whether a
-    torn last line or a partial last generation must be dropped.
-    """
-    lines = path.read_text(encoding="utf-8").split("\n")
-    torn = lines.pop() != ""
-    lines = [line for line in lines if line.strip()]
-    generations: list[list[ScoredRecord]] = []
-    for n, line in enumerate(lines):
-        where = f"{path} line {n + 1}"
-        try:
-            entry = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{where} is not valid JSON: {exc}") from exc
-        record = _read_record(entry, dimension, where)
-        if record.generation == len(generations):
-            generations.append([])
-        _require(
-            record.generation == len(generations) - 1,
-            f"{where}: generation {record.generation} out of order",
-        )
-        generations[-1].append(record)
-    for body in generations[:-1]:
-        _require(
-            len(body) == population_size,
-            f"{path}: interior generation with {len(body)} records"
-            f" (expected {population_size})",
-        )
-    dropped = torn
-    if generations and len(generations[-1]) != population_size:
-        generations.pop()
-        dropped = True
-    buffer = RecordBuffer()
-    for body in generations:
-        buffer.append_generation(body)
-    return buffer, lines, dropped
-
-
-def load_records(
-    path: Path, population_size: int, dimension: int | None = None
-) -> RecordBuffer:
-    """Rebuild the buffer from disk, dropping a partial trailing generation.
-
-    A final line without its newline is a write cut short by a kill and is
-    dropped too, and the file is rewritten without the dropped lines; any
-    other malformed line, or a design whose length is not ``dimension``
-    (when given), is an error.
-    """
-    buffer, lines, dropped = _parse_records(path, population_size, dimension)
-    if dropped:
-        with _replacing(path) as tmp, open(tmp, "w", encoding="utf-8") as handle:
-            handle.writelines(line + "\n" for line in lines[: len(buffer)])
-    return buffer
-
-
-# Keys a resumed run may change: they extend the run or do not touch its records.
-_RESUMABLE_KEYS = ("budget", "output_dir", "max_workers")
-
-
-def _check_same_run(
-    run_dir: Path, snapshot: dict, population_size: int, dimension: int
-) -> None:
-    """Refuse to resume records that a different config wrote.
-
-    The stored ``config.json`` must equal ``snapshot`` except in
-    ``_RESUMABLE_KEYS``.  Nothing is written either way.
-    """
-    path = run_dir / "config.json"
-    try:
-        stored = json.loads(path.read_text(encoding="utf-8"))
-        _require(isinstance(stored, dict), "not a JSON object")
-    except (OSError, ValueError) as exc:
-        # A malformed records line is reported before the missing config.
-        _parse_records(run_dir / "records.jsonl", population_size, dimension)
-        raise ConfigError(
-            f"cannot resume: {path} must hold the config that wrote the records ({exc})"
-        ) from exc
-    current = json.loads(json.dumps(snapshot))
-    changed = sorted(
-        key
-        for key in stored.keys() | current.keys()
-        if key not in _RESUMABLE_KEYS and stored.get(key) != current.get(key)
-    )
-    _require(
-        not changed,
-        f"cannot resume: this config differs from {path} in {', '.join(changed)};"
-        f" a resumed run may change only {', '.join(_RESUMABLE_KEYS)}",
-    )
-
-
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    with _replacing(path) as tmp, open(tmp, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
-def _write_columns(path: Path, header: list[str], *columns) -> None:
-    """Numeric columns as a CSV table of ``.12g`` cells."""
-    _write_csv(path, header, ([f"{v:.12g}" for v in row] for row in zip(*columns)))
-
-
-def _write_profile(path: Path, profile: BodyProfile) -> None:
-    columns = profile.s, profile.r, profile.z, profile.phi
-    _write_columns(path, ["s", "r", "z", "phi"], *columns)
-
-
-def _write_tractions(path: Path, mesh, q_r, q_z) -> None:
-    # s: the midpoints' arclength rescaled to [-1, 1], as in the profile
-    s = 2.0 * mesh.midpoints_arc / mesh.total_arclength - 1.0
-    _write_columns(path, ["s", "f_r", "f_z"], s, q_r, q_z)
-
-
-def _write_json(path: Path, doc) -> None:
-    with _replacing(path) as tmp, open(tmp, "w", encoding="utf-8") as handle:
-        json.dump(doc, handle, indent=2)
-        handle.write("\n")
-
-
-def write_trajectory(path: Path, buffer: RecordBuffer) -> None:
-    rows = []
-    best_so_far = -np.inf
-    for g in range(buffer.n_generations):
-        best = buffer.best_in(g).score
-        best_so_far = max(best_so_far, best)
-        rows.append([g, repr(float(best)), repr(float(best_so_far))])
-    _write_csv(
-        path, ["generation", "best_score_in_generation", "best_score_so_far"], rows
-    )
-
-
-def _write_summary(
-    path: Path, settings: dict, problem, buffer: RecordBuffer, detail
-) -> None:
-    best = buffer.best_record()
-    summary = {
-        "problem": settings["problem"],
-        "optimizer": settings["optimizer"],
-        "n_generations": buffer.n_generations,
-        "n_records": len(buffer),
-        "best_score": float(best.score),
-        "best_generation": best.generation,
-        "best_design": [float(v) for v in best.design],
-        "best_encoded": [int(v) for v in encode_design(best.design, problem.bounds)],
-    }
-    if detail is not None:
-        _, profile, drag = detail
-        summary["best_normalized_drag"] = drag.normalized
-        summary["best_drag_force"] = drag.drag
-        summary["scale_lambda"] = profile.lam
-    _write_json(path, summary)
-
-
-def _strategy(settings: dict, run_dir: Path, problem) -> AskStrategy:
+def _strategy(settings: dict, problem, audit: Callable[[dict], None]) -> AskStrategy:
     if settings["optimizer"] == "ga":
-        _require(
+        require(
             settings["ga"]["elite_count"] <= settings["population_size"],
             "ga.elite_count must be at most population_size",
         )
         return GaSearch(GaConfig(**settings["ga"]))
     if settings["optimizer"] == "mock":
         return GaussianSearch(MockProposer())
-    llm_cfg = LlmConfig(audit_path=str(run_dir / "llm_audit.jsonl"), **settings["llm"])
-    return GaussianSearch(LlmProposer(config=llm_cfg, objective=problem.objective))
+    llm_cfg = LlmConfig(**settings["llm"])
+    return GaussianSearch(LlmProposer(llm_cfg, problem.objective, audit=audit))
 
 
 def run_single_seed(settings: dict, seed: int, resume: bool) -> Path:
     run_dir = Path(settings["output_dir"]) / f"seed_{seed}"
-    records_path = run_dir / "records.jsonl"
     problem = make_problem(settings)
     snapshot = {**settings, "seeds": [seed]}
-
-    buffer = RecordBuffer()
-    if records_path.exists() and records_path.stat().st_size > 0:
-        if not resume:
-            raise ConfigError(
-                f"{records_path} already holds records; pass --resume to continue"
-            )
-        population_size = settings["population_size"]
-        dimension = problem.bounds.dimension
-        _check_same_run(run_dir, snapshot, population_size, dimension)
-        buffer = load_records(records_path, population_size, dimension)
-
-    _write_json(run_dir / "config.json", snapshot)  # makes run_dir
-
-    writer = RecordWriter(records_path, problem.bounds, start_index=len(buffer))
+    buffer, writer = rundir.open_run(run_dir, snapshot, problem.bounds, resume)
     buffer = run_optimization(
         problem,
-        _strategy(settings, run_dir, problem),
+        _strategy(settings, problem, rundir.audit_log(run_dir)),
         _es_config(settings, seed),
         initial_buffer=buffer,
         on_generation=writer,
     )
-
-    write_trajectory(run_dir / "trajectory.csv", buffer)
     best = buffer.best_record()
     detail = None
     if isinstance(problem, AxisymDragProblem) and best.status == STATUS_OK:
         detail = problem.evaluate_detail(best.design)
-        _write_profile(run_dir / "best_profile.csv", detail[1])
-    _write_summary(run_dir / "summary.json", settings, problem, buffer, detail)
+    rundir.finish_run(run_dir, settings, problem.bounds, buffer, detail)
     return run_dir
 
 
@@ -543,35 +272,16 @@ def cmd_run(config_path: str, out: str | None, resume: bool) -> int:
     return EXIT_OK
 
 
-def _read_trajectory(path: Path) -> np.ndarray:
-    try:
-        with open(path, encoding="utf-8", newline="") as handle:
-            rows = list(csv.DictReader(handle))
-        return np.array([float(row["best_score_so_far"]) for row in rows])
-    except (KeyError, TypeError, ValueError) as exc:
-        # a missing column, a short row, a cell that is not a number
-        raise ConfigError(f"cannot read the trajectory {path}: {exc!r}") from exc
-
-
-def _collect_trajectories(root: Path) -> list[np.ndarray]:
-    direct = root / "trajectory.csv"
-    if direct.exists():
-        return [_read_trajectory(direct)]
-    found = sorted(root.glob("seed_*/trajectory.csv"))
-    _require(bool(found), f"no trajectory.csv under {root}")
-    return [_read_trajectory(p) for p in found]
-
-
 def cmd_compare(run_dirs: list[str], out: str) -> int:
     """Per-generation mean/min/max of best-so-far, one column group per method."""
-    _require(bool(run_dirs), "compare needs at least one run directory")
+    require(bool(run_dirs), "compare needs at least one run directory")
     groups = []
     for raw in run_dirs:
         root = Path(raw)
-        _require(root.exists(), f"run directory {root} does not exist")
-        label = root.name  # heads the method's columns
-        _require(label not in dict(groups), f"two run directories are named {label!r}")
-        groups.append((label, _collect_trajectories(root)))
+        require(root.exists(), f"run directory {root} does not exist")
+        label = root.resolve().name  # heads the method's columns, even for "."
+        require(label not in dict(groups), f"two run directories are named {label!r}")
+        groups.append((label, rundir.collect_trajectories(root)))
     lengths = [len(t) for _, ts in groups for t in ts]
     horizon = min(lengths)
     if horizon != max(lengths):
@@ -587,7 +297,7 @@ def cmd_compare(run_dirs: list[str], out: str) -> int:
         header += [f"{label}_mean", f"{label}_min", f"{label}_max"]
         columns += [stacked.mean(axis=0), stacked.min(axis=0), stacked.max(axis=0)]
     out_path = Path(out)
-    _write_csv(
+    rundir.write_csv(
         out_path, header,
         ([g] + [repr(float(col[g])) for col in columns] for g in range(horizon)),
     )
@@ -598,15 +308,15 @@ def cmd_compare(run_dirs: list[str], out: str) -> int:
 def cmd_sweep_nini(config_path: str, nini_values: list[int], out: str | None) -> int:
     """Mean best-so-far trajectory per seeding-generation count."""
     settings = load_config(config_path)
-    _require(
+    require(
         settings["problem"] in AXISYM,
         "the seeding sweep is defined for the axisymmetric problems",
     )
-    _require(
+    require(
         settings["optimizer"] in ("mock", "llm"),
         "the seeding sweep varies n_ini, which the ga optimizer does not use",
     )
-    _require(
+    require(
         len(set(nini_values)) == len(nini_values), "nini values must be distinct"
     )
     base_out = Path(out) if out is not None else Path(settings["output_dir"])
@@ -620,12 +330,12 @@ def cmd_sweep_nini(config_path: str, nini_values: list[int], out: str | None) ->
         trajectories = []
         for seed in sub["seeds"]:
             run_dir = run_single_seed(sub, seed, resume=False)
-            trajectories.append(_read_trajectory(run_dir / "trajectory.csv"))
+            trajectories.append(rundir.read_trajectory(run_dir / "trajectory.csv"))
         stacked = np.vstack(trajectories)
         mean_columns[value] = stacked.mean(axis=0)
         final_bests[value] = [float(t[-1]) for t in trajectories]
     sweep_path = base_out / "sweep_nini.csv"
-    _write_csv(
+    rundir.write_csv(
         sweep_path,
         ["generation"] + [f"nini{v}_mean_best_so_far" for v in nini_values],
         (
@@ -633,7 +343,7 @@ def cmd_sweep_nini(config_path: str, nini_values: list[int], out: str | None) ->
             for g in range(settings["budget"])
         ),
     )
-    _write_json(
+    rundir.write_json(
         base_out / "sweep_summary.json",
         {
             str(v): {
@@ -664,11 +374,11 @@ def cmd_evaluate(
         )
     except ValueError as exc:
         raise ConfigError(f"cannot parse design vector: {exc}") from exc
-    _require(
+    require(
         design.shape == (problem.bounds.dimension,),
         f"design needs {problem.bounds.dimension} components, got {design.size}",
     )
-    _require(problem.bounds.contains(design), "design lies outside the problem bounds")
+    require(problem.bounds.contains(design), "design lies outside the problem bounds")
     report: dict = {
         "problem": settings["problem"],
         "design": [float(v) for v in design],
@@ -693,15 +403,15 @@ def cmd_evaluate(
             scale_lambda=profile.lam,
         )
         if profile_out:
-            _write_profile(Path(profile_out), profile)
+            rundir.write_profile(Path(profile_out), profile)
             report["profile_csv"] = profile_out
         if traction_out:
-            _write_tractions(Path(traction_out), drag.mesh, drag.q_r, drag.q_z)
+            rundir.write_tractions(Path(traction_out), drag.mesh, drag.q_r, drag.q_z)
             report["traction_csv"] = traction_out
     if out is None:
         sys.stdout.write(json.dumps(report, indent=2) + "\n")
     else:
-        _write_json(Path(out), report)
+        rundir.write_json(Path(out), report)
         print(out)
     return EXIT_OK
 

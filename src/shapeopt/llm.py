@@ -10,7 +10,6 @@ gives the pipeline plausible convergence behavior without a network.
 
 from __future__ import annotations
 
-import json
 import os
 import re
 from dataclasses import dataclass
@@ -38,6 +37,7 @@ __all__ = [
     "build_prompt",
     "format_reminder",
     "mock_propose",
+    "no_audit",
     "parse_mean_response",
     "propose_mean_via_llm",
 ]
@@ -67,7 +67,6 @@ class LlmConfig:
     max_retries: int = 2
     timeout: float = 60.0
     api_key_env: str = "SHAPEOPT_API_KEY"
-    audit_path: str | None = None
 
     def __post_init__(self) -> None:
         if self.max_retries < 0:
@@ -208,24 +207,23 @@ def _http_transport(cfg: LlmConfig) -> Callable[[dict], str]:
     return send
 
 
-def _append_audit(cfg: LlmConfig, entry: dict) -> None:
-    if cfg.audit_path is None:
-        return
-    with open(cfg.audit_path, "a", encoding="utf-8") as handle:
-        handle.write(json.dumps(entry) + "\n")
+def no_audit(entry: dict) -> None:
+    """The default audit: keep no entry."""
 
 
 def propose_mean_via_llm(
     bundle: PromptBundle,
     cfg: LlmConfig,
     transport: Callable[[dict], str] | None = None,
+    audit: Callable[[dict], None] = no_audit,
 ) -> np.ndarray:
     """One proposal with retries; returns the parsed integer mean.
 
     Each attempt sends the conversation so far; a parse failure appends the
     bad reply plus a format reminder before retrying, a transport failure
     retries the same payload.  Both kinds consume attempts
-    (max_retries + 1 in total) before the proposer gives up.
+    (max_retries + 1 in total) before the proposer gives up.  ``audit``
+    gets one entry per attempt.
     """
     if transport is None:
         transport = _http_transport(cfg)
@@ -241,24 +239,24 @@ def propose_mean_via_llm(
             "temperature": 0.0,
             "messages": list(messages),
         }
-        audit = {"attempt": attempt, "request": payload}
+        sent = {"attempt": attempt, "request": payload}
         try:
             text = transport(payload)
         except TransportError as exc:
             last_error = exc
-            _append_audit(cfg, {**audit, "response": None, "error": str(exc)})
+            audit({**sent, "response": None, "error": str(exc)})
             continue
         try:
             mean = parse_mean_response(text, bundle.dimension)
         except ResponseParseError as exc:
             last_error = exc
-            _append_audit(cfg, {**audit, "response": text, "error": str(exc)})
+            audit({**sent, "response": text, "error": str(exc)})
             messages.append({"role": "assistant", "content": text})
             messages.append(
                 {"role": "user", "content": format_reminder(bundle.dimension)}
             )
             continue
-        _append_audit(cfg, {**audit, "response": text, "parsed": mean.tolist()})
+        audit({**sent, "response": text, "parsed": mean.tolist()})
         return mean
     raise ProposerError(f"no usable mean after {attempts} attempts: {last_error}")
 
@@ -297,8 +295,9 @@ class LlmProposer:
     config: LlmConfig
     objective: str
     transport: Callable[[dict], str] | None = None
+    audit: Callable[[dict], None] = no_audit
 
     def propose(self, records: Sequence[ScoredRecord], bounds: Bounds) -> np.ndarray:
         bundle = build_prompt(records, bounds, self.objective)
-        mean = propose_mean_via_llm(bundle, self.config, self.transport)
+        mean = propose_mean_via_llm(bundle, self.config, self.transport, self.audit)
         return decode_design(mean, bounds)

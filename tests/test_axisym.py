@@ -19,7 +19,7 @@ from shapeopt.axisym import (
     simpson_uniform,
     tangent_angle,
 )
-from shapeopt.cli import _write_profile
+from shapeopt.rundir import write_profile
 
 SPHERE = np.array([-math.pi / 2])
 
@@ -192,7 +192,7 @@ def test_negative_radius_detection():
 def test_export_profile_csv(tmp_path):
     profile = integrate_profile(SPHERE, n_samples=201)
     path = tmp_path / "profile.csv"
-    _write_profile(path, profile)
+    write_profile(path, profile)
     rows = path.read_text().splitlines()
     assert rows[0] == "s,r,z,phi"
     assert len(rows) == 202

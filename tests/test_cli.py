@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shapeopt import cli
+from shapeopt import cli, rundir
 from shapeopt.cli import (
     EXIT_CONFIG,
     EXIT_EVALUATOR,
@@ -712,7 +712,7 @@ def test_failed_config_write_keeps_the_old_file(tmp_path, monkeypatch):
         handle.write(json.dumps(obj, **kwargs)[:20])
         raise OSError("disk full")
 
-    monkeypatch.setattr(cli.json, "dump", torn_dump)
+    monkeypatch.setattr(rundir.json, "dump", torn_dump)
     with pytest.raises(OSError, match="disk full"):
         run_cli("run", "--config", config, "--out", out, "--resume")
     # the old config.json is whole, and no temp file is left beside it
@@ -765,7 +765,7 @@ def test_failed_compare_write_keeps_the_old_file(tmp_path, monkeypatch):
             self.handle.write(",".join(map(str, row))[:7])
             raise OSError("disk full")
 
-    monkeypatch.setattr(cli.csv, "writer", TornWriter)
+    monkeypatch.setattr(rundir.csv, "writer", TornWriter)
     with pytest.raises(OSError, match="disk full"):
         run_cli("compare", "--runs", str(run), "--out", str(out))
     # the old CSV is whole, and no temp file is left beside it
@@ -917,7 +917,7 @@ def test_failed_records_rewrite_keeps_the_old_file(tmp_path, monkeypatch):
     def refuse(src, dst):
         raise OSError("killed before the rename")
 
-    monkeypatch.setattr(cli.os, "replace", refuse)
+    monkeypatch.setattr(rundir.os, "replace", refuse)
     with pytest.raises(OSError, match="killed"):
         load_records(path, population_size=1)
     assert [p.name for p in tmp_path.iterdir()] == ["records.jsonl"]
@@ -1011,6 +1011,20 @@ def test_compare_refuses_runs_with_the_same_name(tmp_path, capsys):
     assert run_cli("compare", "--runs", str(a), str(b), "--out", str(out)) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "'run'" in err
+    assert not out.exists()
+
+
+def test_compare_labels_dot_by_the_directory_name(tmp_path, monkeypatch, capsys):
+    run = make_run(tmp_path, "ga_an", [0])
+    monkeypatch.chdir(run / "seed_0")
+    assert run_cli("compare", "--runs", ".", "--out", "x.csv") == EXIT_OK
+    assert (run / "seed_0" / "x.csv").read_text().startswith("generation,seed_0_mean,")
+    # "." and "../ga_an" name the same run, which compare refuses
+    monkeypatch.chdir(run)
+    out = tmp_path / "y.csv"
+    code = run_cli("compare", "--runs", ".", "../ga_an", "--out", str(out))
+    assert code == EXIT_CONFIG
+    assert "'ga_an'" in capsys.readouterr().err
     assert not out.exists()
 
 

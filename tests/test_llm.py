@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shapeopt import cli
 from shapeopt.evolution import Bounds, ProposerError, ScoredRecord, decode_design
 from shapeopt.llm import (
     SYSTEM_PROMPT,
@@ -300,13 +301,10 @@ def test_zero_retries_means_one_attempt():
     assert len(transport.payloads) == 1
 
 
-def test_audit_log_one_line_per_attempt(tmp_path):
-    audit = tmp_path / "audit.jsonl"
+def test_audit_log_one_line_per_attempt():
+    entries = []
     transport = ScriptedTransport(["gibberish", "[7, 8]"])
-    propose_mean_via_llm(
-        make_bundle(), make_config(audit_path=str(audit)), transport
-    )
-    entries = [json.loads(line) for line in audit.read_text().splitlines()]
+    propose_mean_via_llm(make_bundle(), make_config(), transport, entries.append)
     assert [e["attempt"] for e in entries] == [0, 1]
     assert entries[0]["response"] == "gibberish" and "error" in entries[0]
     assert entries[1]["parsed"] == [7, 8]
@@ -435,3 +433,25 @@ def test_http_transport_non_json_body_is_transport_error(local_endpoint, monkeyp
     with pytest.raises(TransportError, match="response is not JSON"):
         send({"model": "m", "temperature": 0.0, "messages": []})
     assert len(_Handler.seen) == 1
+
+
+def test_cli_run_audits_each_proposal(local_endpoint, tmp_path):
+    doc = {
+        "problem": "analytic_test",
+        "optimizer": "llm",
+        "dimension": 2,
+        "budget": 4,
+        "n_ini": 2,
+        "llm": {"endpoint": local_endpoint, "model": "m"},
+    }
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    audits = []
+    for out in ("first", "second"):
+        argv = ["run", "--config", str(config), "--out", str(tmp_path / out)]
+        assert cli.main(argv) == 0
+        audits.append((tmp_path / out / "seed_0" / "llm_audit.jsonl").read_bytes())
+    entries = [json.loads(line) for line in audits[0].decode().splitlines()]
+    # two proposed generations after the two seeded ones, one attempt each
+    assert [e["parsed"] for e in entries] == [[42, 24], [42, 24]]
+    assert audits[1] == audits[0]

@@ -16,7 +16,7 @@ from scipy.interpolate import CubicSpline
 import shapeopt
 from shapeopt import stokesbem
 from shapeopt.axisym import GeometricConstraint, integrate_profile, rescale_to_constraint
-from shapeopt.cli import _write_tractions
+from shapeopt.rundir import write_tractions
 from shapeopt.stokesbem import (
     MAX_ELEMENTS,
     SPHERE_DRAG,
@@ -630,7 +630,7 @@ def test_export_traction_csv(tmp_path):
     mesh = sphere_mesh(20)
     q_r, q_z = solve_tractions(mesh)
     path = tmp_path / "traction.csv"
-    _write_tractions(path, mesh, q_r, q_z)
+    write_tractions(path, mesh, q_r, q_z)
     rows = path.read_text().splitlines()
     assert rows[0] == "s,f_r,f_z"
     assert len(rows) == 21
