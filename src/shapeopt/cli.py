@@ -367,6 +367,11 @@ def cmd_evaluate(
     """Score one design vector outside any run."""
     settings = load_config(config_path)
     problem = make_problem(settings)
+    require(
+        isinstance(problem, AxisymDragProblem) or not (profile_out or traction_out),
+        f"--profile-out and --traction-out need an axisym problem,"
+        f" not {settings['problem']}",
+    )
     try:
         design = np.array(
             [float(tok) for tok in design_text.replace(" ", "").split(",") if tok],

@@ -24,7 +24,14 @@ from .axisym import (
     rescale_to_constraint,
 )
 from .evolution import LARGEST, Bounds, EvaluationFailed, EvaluatorFatal
-from .stokesbem import MAX_ELEMENTS, DragResult, MeshError, profile_to_mesh, solve_drag
+from .stokesbem import (
+    MAX_ELEMENTS,
+    DragResult,
+    MeshError,
+    load_special_functions,
+    profile_to_mesh,
+    solve_drag,
+)
 
 COEFF_BOUND = math.pi  # tangent-angle coefficients beyond |pi| fold the meridian
 AXISYM_PENALTY = -1.0e3
@@ -106,6 +113,9 @@ class AxisymDragProblem:
             f" slow viscous flow at fixed {label}; the equal-{label} sphere"
             " scores -1, and lower-drag shapes score closer to 0"
         )
+        # Load the solver's special functions now, in set-up, not in the
+        # first generation's first solve.
+        load_special_functions()
 
     def _constrained_profile(self, x: np.ndarray) -> BodyProfile:
         profile = integrate_profile(np.asarray(x, dtype=float), self.n_samples)

@@ -6,6 +6,9 @@ the single-layer surface integral into a line integral along the meridian
 with complete elliptic integrals in the kernel.  ``scipy.special`` supplies
 them: K by ``ellipkm1`` from the exact ``1 - m``, which keeps the kernel's
 log singularity down to round-off separations, and E by ``ellipe``.
+Importing this module does not load ``scipy.special``: building a drag
+problem does, through ``load_special_functions``, and so does the first
+kernel call of a caller that builds none.
 The meridian between its samples is a piecewise-cubic Hermite
 interpolant (``CubicHermite``).  ``profile_to_mesh`` gives it the exact
 tangent of a tangent-angle profile; ``mesh_from_meridian`` takes the
@@ -60,7 +63,6 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import binom, ellipe, ellipkm1
 
 from .axisym import BodyProfile
 
@@ -83,6 +85,7 @@ __all__ = [
     "MeshError",
     "SPHERE_DRAG",
     "assemble_single_layer",
+    "load_special_functions",
     "mesh_from_meridian",
     "profile_to_mesh",
     "ring_stokeslet",
@@ -95,24 +98,44 @@ class MeshError(ValueError):
     """The meridian cannot be meshed into usable boundary elements."""
 
 
-# Series coefficients for the small-m branch, one column per reduced
-# integral I10, I11, I30, I31.  Expanding (1 - m cos^2 u)^(-p/2) gives
-# int_0^{pi/2} cos^(2j) u / (1 - m cos^2 u)^(p/2) du
-#     = sum_k binom(k + p/2 - 1, k) W_{k+j} m^k,
-# with the Wallis integrals W_n = int_0^{pi/2} cos^(2n) u du, and
-# cos(phi) = 2 cos^2 u - 1 has the moments 2 W_{k+1} - W_k = k W_k / (k + 1).
-_POWERS = np.arange(_SMALL_M_TERMS)
-_WALLIS = 0.5 * np.pi * binom(_POWERS - 0.5, _POWERS)
-_COS_MOMENTS = _WALLIS * _POWERS / (_POWERS + 1)
-_SMALL_M_SERIES = np.stack(
-    [
-        binom(_POWERS - 0.5, _POWERS) * _WALLIS,
-        binom(_POWERS - 0.5, _POWERS) * _COS_MOMENTS,
-        binom(_POWERS + 0.5, _POWERS) * _WALLIS,
-        binom(_POWERS + 0.5, _POWERS) * _COS_MOMENTS,
-    ],
-    axis=1,
-)
+@lru_cache(maxsize=1)
+def _special_functions():
+    """``(ellipkm1, ellipe, series)``: scipy's K and E, and the small-m table.
+
+    ``scipy.special`` is imported here, on first use, rather than with the
+    module, so that runs which never solve a drag do not load it.  The
+    read-only series table has one column per reduced integral I10, I11,
+    I30, I31.  Expanding (1 - m cos^2 u)^(-p/2) gives
+    int_0^{pi/2} cos^(2j) u / (1 - m cos^2 u)^(p/2) du
+        = sum_k binom(k + p/2 - 1, k) W_{k+j} m^k,
+    with the Wallis integrals W_n = int_0^{pi/2} cos^(2n) u du, and
+    cos(phi) = 2 cos^2 u - 1 has the moments 2 W_{k+1} - W_k = k W_k / (k + 1).
+    """
+    from scipy.special import binom, ellipe, ellipkm1
+
+    powers = np.arange(_SMALL_M_TERMS)
+    wallis = 0.5 * np.pi * binom(powers - 0.5, powers)
+    cos_moments = wallis * powers / (powers + 1)
+    series = np.stack(
+        [
+            binom(powers - 0.5, powers) * wallis,
+            binom(powers - 0.5, powers) * cos_moments,
+            binom(powers + 0.5, powers) * wallis,
+            binom(powers + 0.5, powers) * cos_moments,
+        ],
+        axis=1,
+    )
+    series.flags.writeable = False
+    return ellipkm1, ellipe, series
+
+
+def load_special_functions() -> None:
+    """Import ``scipy.special`` and build the kernel's series table now.
+
+    A drag problem calls this when it is built, so that the import is paid
+    during set-up rather than inside the first solve.
+    """
+    _special_functions()
 
 
 def _ring_integrals(dsq, big_dsq, m, work, flag):
@@ -125,6 +148,7 @@ def _ring_integrals(dsq, big_dsq, m, work, flag):
     scratch arrays of ``work`` and the boolean ``flag``, all of the
     arguments' shape; the four integrals come back in four of them.
     """
+    ellipkm1, ellipe, series_table = _special_functions()
     one_m, k, e, two_m, scale, i10, i11 = work
     np.divide(dsq, big_dsq, out=one_m)  # exact 1 - m, no cancellation
     ellipkm1(one_m, out=k)  # K from 1 - m keeps its digits as m -> 1
@@ -151,11 +175,11 @@ def _ring_integrals(dsq, big_dsq, m, work, flag):
         ms = np.take(m, small)
         # Horner's rule, elementwise so that a point gets the same bits
         # alone or in any array; one row per integral.
-        series = _SMALL_M_SERIES[-1, :, None] * ms
-        for coeffs in _SMALL_M_SERIES[-2:0:-1, :, None]:
+        series = series_table[-1, :, None] * ms
+        for coeffs in series_table[-2:0:-1, :, None]:
             series += coeffs
             series *= ms
-        series += _SMALL_M_SERIES[0, :, None]
+        series += series_table[0, :, None]
         scale = np.take(scale, small)
         np.put(i10, small, series[0] * scale)
         np.put(i11, small, series[1] * scale)

@@ -787,14 +787,8 @@ def test_resume_may_extend_the_budget(tmp_path):
     assert json.loads((run_dir / "config.json").read_text())["budget"] == 6
 
 
-def test_run_without_llm_does_not_import_requests(tmp_path):
-    config = write_config(tmp_path, {**ANALYTIC, "output_dir": str(tmp_path / "run")})
-    script = f"""
-import sys
-from shapeopt.cli import main
-assert main(["run", "--config", {config!r}]) == 0
-assert "requests" not in sys.modules, "a mock run imported requests"
-"""
+def run_python(script):
+    """Run ``script`` in a fresh interpreter that imports this checkout."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     done = subprocess.run(
@@ -805,7 +799,49 @@ assert "requests" not in sys.modules, "a mock run imported requests"
         timeout=120,
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_run_without_llm_does_not_import_requests(tmp_path):
+    config = write_config(tmp_path, {**ANALYTIC, "output_dir": str(tmp_path / "run")})
+    run_python(f"""
+import sys
+from shapeopt.cli import main
+assert main(["run", "--config", {config!r}]) == 0
+assert "requests" not in sys.modules, "a mock run imported requests"
+""")
     assert (tmp_path / "run" / "seed_0" / "records.jsonl").exists()
+
+
+SCIPY_MODULES = """
+import sys
+def scipy_modules():
+    return sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+"""
+
+
+def test_runs_without_a_drag_problem_do_not_import_scipy(tmp_path):
+    doc = {**ANALYTIC, "budget": 3, "output_dir": str(tmp_path / "run")}
+    config = write_config(tmp_path, doc)
+    airfoil = {**AIRFOIL, "optimizer": "mock"}
+    run_python(SCIPY_MODULES + f"""
+from shapeopt.cli import main, parse_config
+assert not scipy_modules(), scipy_modules()
+assert main(["run", "--config", {config!r}]) == 0
+assert not scipy_modules(), scipy_modules()
+parse_config({airfoil!r})
+assert not scipy_modules(), scipy_modules()
+""")
+    assert (tmp_path / "run" / "seed_0" / "records.jsonl").exists()
+
+
+def test_building_a_drag_problem_imports_the_special_functions():
+    # A drag run pays for the import in set-up, not in its first solve.
+    run_python(SCIPY_MODULES + """
+from shapeopt.problems import AxisymDragProblem
+assert "scipy.special" not in sys.modules, scipy_modules()
+AxisymDragProblem()
+assert "scipy.special" in sys.modules, scipy_modules()
+""")
 
 
 def test_killed_runs_resume_to_the_uninterrupted_bytes(tmp_path):
@@ -1177,6 +1213,32 @@ def test_evaluate_airfoil_report_quotes_the_evaluator_traceback(tmp_path, capsys
         "flow evaluation failed: exited with code 1:"
         " RuntimeError: mesh generation diverged"
     )
+
+
+@pytest.mark.parametrize("flag", ["--profile-out", "--traction-out"])
+@pytest.mark.parametrize("problem", ["analytic_test", "airfoil"])
+def test_evaluate_exports_need_an_axisym_problem(tmp_path, capsys, problem, flag):
+    # The stand-in evaluator leaves a mark, so a scored design would show.
+    mark = tmp_path / "evaluated"
+    stub = tmp_path / "stub.py"
+    stub.write_text(f"open({str(mark)!r}, 'w').close()\n")
+    doc, design = {
+        "analytic_test": (ANALYTIC, "0.3,0.3"),
+        "airfoil": (
+            {**AIRFOIL, "optimizer": "mock", "evaluator_command": [sys.executable, str(stub)]},
+            ",".join("0" * 9),
+        ),
+    }[problem]
+    export = tmp_path / "export.csv"
+    code = run_cli(
+        "evaluate", "--config", write_config(tmp_path, doc), "--design", design,
+        flag, str(export),
+    )
+    assert code == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert flag in captured.err and problem in captured.err
+    assert not export.exists() and not mark.exists()
 
 
 def test_evaluate_rejects_bad_designs(tmp_path, capsys):
