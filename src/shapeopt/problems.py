@@ -28,7 +28,6 @@ from .stokesbem import (
     MAX_ELEMENTS,
     DragResult,
     MeshError,
-    load_special_functions,
     profile_to_mesh,
     solve_drag,
 )
@@ -113,9 +112,6 @@ class AxisymDragProblem:
             f" slow viscous flow at fixed {label}; the equal-{label} sphere"
             " scores -1, and lower-drag shapes score closer to 0"
         )
-        # Load the solver's special functions now, in set-up, not in the
-        # first generation's first solve.
-        load_special_functions()
 
     def _constrained_profile(self, x: np.ndarray) -> BodyProfile:
         profile = integrate_profile(np.asarray(x, dtype=float), self.n_samples)

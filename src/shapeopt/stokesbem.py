@@ -3,12 +3,12 @@
 The body surface is a meridian curve revolved about the z axis.  A ring of
 point forces is integrated in closed form over the azimuth, which turns
 the single-layer surface integral into a line integral along the meridian
-with complete elliptic integrals in the kernel.  ``scipy.special`` supplies
-them: K by ``ellipkm1`` from the exact ``1 - m``, which keeps the kernel's
-log singularity down to round-off separations, and E by ``ellipe``.
-Importing this module does not load ``scipy.special``: building a drag
-problem does, through ``load_special_functions``, and so does the first
-kernel call of a caller that builds none.
+with complete elliptic integrals K and E in the kernel.  Both come from
+the polynomial approximations of Cephes ``ellpk`` and ``ellpe``, the ones
+``scipy.special`` evaluates, taken in numpy from the exact ``1 - m``,
+which keeps the kernel's log singularity down to round-off separations.
+The solver loads no scipy module; only ``mesh_from_meridian`` without
+slopes imports ``scipy.interpolate``.
 The meridian between its samples is a piecewise-cubic Hermite
 interpolant (``CubicHermite``).  ``profile_to_mesh`` gives it the exact
 tangent of a tangent-angle profile; ``mesh_from_meridian`` takes the
@@ -85,7 +85,6 @@ __all__ = [
     "MeshError",
     "SPHERE_DRAG",
     "assemble_single_layer",
-    "load_special_functions",
     "mesh_from_meridian",
     "profile_to_mesh",
     "ring_stokeslet",
@@ -98,44 +97,94 @@ class MeshError(ValueError):
     """The meridian cannot be meshed into usable boundary elements."""
 
 
-@lru_cache(maxsize=1)
-def _special_functions():
-    """``(ellipkm1, ellipe, series)``: scipy's K and E, and the small-m table.
+def _binomials(a):
+    """``binom(k + a, k)`` for ``k < _SMALL_M_TERMS``, as ``prod_{i<=k} (i + a) / k!``."""
+    i = np.arange(1.0, _SMALL_M_TERMS)
+    return np.concatenate([[1.0], np.cumprod(i + a) / np.cumprod(i)])
 
-    ``scipy.special`` is imported here, on first use, rather than with the
-    module, so that runs which never solve a drag do not load it.  The
-    read-only series table has one column per reduced integral I10, I11,
-    I30, I31.  Expanding (1 - m cos^2 u)^(-p/2) gives
+
+def _series_table():
+    """The small-m series, one column per reduced integral I10, I11, I30, I31.
+
+    Expanding (1 - m cos^2 u)^(-p/2) gives
     int_0^{pi/2} cos^(2j) u / (1 - m cos^2 u)^(p/2) du
         = sum_k binom(k + p/2 - 1, k) W_{k+j} m^k,
     with the Wallis integrals W_n = int_0^{pi/2} cos^(2n) u du, and
     cos(phi) = 2 cos^2 u - 1 has the moments 2 W_{k+1} - W_k = k W_k / (k + 1).
     """
-    from scipy.special import binom, ellipe, ellipkm1
-
     powers = np.arange(_SMALL_M_TERMS)
-    wallis = 0.5 * np.pi * binom(powers - 0.5, powers)
+    half, three_halves = _binomials(-0.5), _binomials(0.5)
+    wallis = 0.5 * np.pi * half
     cos_moments = wallis * powers / (powers + 1)
     series = np.stack(
-        [
-            binom(powers - 0.5, powers) * wallis,
-            binom(powers - 0.5, powers) * cos_moments,
-            binom(powers + 0.5, powers) * wallis,
-            binom(powers + 0.5, powers) * cos_moments,
-        ],
+        [half * wallis, half * cos_moments, three_halves * wallis, three_halves * cos_moments],
         axis=1,
     )
     series.flags.writeable = False
-    return ellipkm1, ellipe, series
+    return series
 
 
-def load_special_functions() -> None:
-    """Import ``scipy.special`` and build the kernel's series table now.
+_SERIES = _series_table()
 
-    A drag problem calls this when it is built, so that the import is paid
-    during set-up rather than inside the first solve.
+# Complete elliptic integrals K and E as functions of x = 1 - m, by the
+# polynomial approximations of Cephes ``ellpk`` and ``ellpe`` (Moshier,
+# Methods and Programs for Mathematical Functions, 1989), highest power
+# first: K = P_K(x) - log(x) Q_K(x) and E = P_E(x) - log(x) x Q_E(x).
+# Cephes takes K = log(4) - log(x) / 2 where x <= 2^-53; in doubles the
+# polynomials give the same bits there, since P_K and Q_K round to their
+# constant terms log(4) and 1/2.
+_K_P = (
+    1.37982864606273237150e-4, 2.28025724005875567385e-3, 7.97404013220415179367e-3,
+    9.85821379021226008714e-3, 6.87489687449949877925e-3, 6.18901033637687613229e-3,
+    8.79078273952743772254e-3, 1.49380448916805252718e-2, 3.08851465246711995998e-2,
+    9.65735902811690126535e-2, 1.38629436111989062502e0,
+)
+_K_Q = (
+    2.94078955048598507511e-5, 9.14184723865917226571e-4, 5.94058303753167793257e-3,
+    1.54850516649762399335e-2, 2.39089602715924892727e-2, 3.01204715227604046988e-2,
+    3.73774314173823228969e-2, 4.88280347570998239232e-2, 7.03124996963957469739e-2,
+    1.24999999999870820058e-1, 4.99999999999999999821e-1,
+)
+_E_P = (
+    1.53552577301013293365e-4, 2.50888492163602060990e-3, 8.68786816565889628429e-3,
+    1.07350949056076193403e-2, 7.77395492516787092951e-3, 7.58395289413514708519e-3,
+    1.15688436810574127319e-2, 2.18317996015557253103e-2, 5.68051945617860553470e-2,
+    4.43147180560990850618e-1, 1.00000000000000000299e0,
+)
+_E_Q = (
+    3.27954898576485872656e-5, 1.00962792679356715133e-3, 6.50609489976927491433e-3,
+    1.68862163993311317300e-2, 2.61769742454493659583e-2, 3.34833904888224918614e-2,
+    4.27180926518931511717e-2, 5.85936634471101055642e-2, 9.37499997197644278445e-2,
+    2.49999999999888314361e-1,
+)
+# The four polynomials side by side, one row per power, so that each step
+# of one Horner pass updates all four: fewer numpy calls, which matters
+# when solves run on several threads.  Q_E's leading zero changes no bit.
+_POLYNOMIALS = np.array([_K_P, _E_P, _K_Q, (0.0, *_E_Q)]).T[:, :, None]
+_POLYNOMIALS.flags.writeable = False
+
+
+def _elliptic_k_e(x, log_x, polys):
+    """K and E of ``m = 1 - x``, from the flat array ``x`` and its log.
+
+    ``x`` is the exact ``1 - m``, which keeps the log singularity of K down
+    to round-off separations.  ``polys`` is scratch of shape
+    ``(4, x.size)``; K and E come back in ``polys[0]`` and ``polys[1]``.
+    Horner's rule runs as Cephes ``polevl`` does, one operation at a time,
+    so a point gets the same bits alone or in any array.
     """
-    _special_functions()
+    np.multiply(x, _POLYNOMIALS[0], out=polys)
+    polys += _POLYNOMIALS[1]
+    for c in _POLYNOMIALS[2:]:
+        polys *= x
+        polys += c
+    k, e, k_q, e_q = polys
+    k_q *= log_x
+    k -= k_q
+    e_q *= x
+    e_q *= log_x
+    e -= e_q
+    return k, e
 
 
 def _ring_integrals(dsq, big_dsq, m, work, flag):
@@ -145,14 +194,15 @@ def _ring_integrals(dsq, big_dsq, m, work, flag):
     elliptic integrals, evaluated over the whole block.  The reduced forms
     divide by m, so where ``m <= _SMALL_M`` their values are overwritten
     by power series in m.  Every temporary is written into the seven
-    scratch arrays of ``work`` and the boolean ``flag``, all of the
-    arguments' shape; the four integrals come back in four of them.
+    scratch rows of the array ``work`` and the boolean ``flag``, all of the
+    arguments' shape; the four integrals come back in four of those rows.
     """
-    ellipkm1, ellipe, series_table = _special_functions()
     one_m, k, e, two_m, scale, i10, i11 = work
     np.divide(dsq, big_dsq, out=one_m)  # exact 1 - m, no cancellation
-    ellipkm1(one_m, out=k)  # K from 1 - m keeps its digits as m -> 1
-    ellipe(m, out=e)
+    # k, e, two_m and scale hold the polynomials, and i10 log(1 - m), until
+    # needed below; the rows are contiguous, so the flat views share them
+    rows = work.reshape(len(work), -1)
+    _elliptic_k_e(rows[0], np.log(rows[0], out=rows[5]), rows[1:5])
     e_om = np.divide(e, one_m, out=one_m)
     np.divide(2.0, m, out=two_m)
     np.sqrt(big_dsq, out=scale)
@@ -175,11 +225,11 @@ def _ring_integrals(dsq, big_dsq, m, work, flag):
         ms = np.take(m, small)
         # Horner's rule, elementwise so that a point gets the same bits
         # alone or in any array; one row per integral.
-        series = series_table[-1, :, None] * ms
-        for coeffs in series_table[-2:0:-1, :, None]:
+        series = _SERIES[-1, :, None] * ms
+        for coeffs in _SERIES[-2:0:-1, :, None]:
             series += coeffs
             series *= ms
-        series += series_table[0, :, None]
+        series += _SERIES[0, :, None]
         scale = np.take(scale, small)
         np.put(i10, small, series[0] * scale)
         np.put(i11, small, series[1] * scale)
@@ -229,7 +279,7 @@ def _blocks(shape):
 
 def _ring_block(r, z, r0, z0, out, work, flag):
     """The kernel on one block: ``out`` takes ``(M_rr, M_rz, M_zr, M_zz)``."""
-    dz, dz2, dsq, m, big_dsq, *spare = work
+    dz, dz2, dsq, m, big_dsq = work[:5]
     np.subtract(z, z0, out=dz)
     np.multiply(dz, dz, out=dz2)
     np.subtract(r, r0, out=dsq)  # dr
@@ -242,7 +292,7 @@ def _ring_block(r, z, r0, z0, out, work, flag):
     np.add(dsq, rr4, out=big_dsq)  # dz^2 + (r + r0)^2
     np.divide(rr4, big_dsq, out=m)
 
-    i10, i11, i30, i31 = _ring_integrals(dsq, big_dsq, m, spare, flag)
+    i10, i11, i30, i31 = _ring_integrals(dsq, big_dsq, m, work[5:], flag)
 
     m_rr, m_rz, m_zr, m_zz = out
     product = dsq  # free once the integrals are done

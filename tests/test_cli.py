@@ -834,14 +834,23 @@ assert not scipy_modules(), scipy_modules()
     assert (tmp_path / "run" / "seed_0" / "records.jsonl").exists()
 
 
-def test_building_a_drag_problem_imports_the_special_functions():
-    # A drag run pays for the import in set-up, not in its first solve.
-    run_python(SCIPY_MODULES + """
-from shapeopt.problems import AxisymDragProblem
-assert "scipy.special" not in sys.modules, scipy_modules()
-AxisymDragProblem()
-assert "scipy.special" in sys.modules, scipy_modules()
+def test_drag_runs_do_not_import_scipy(tmp_path):
+    # The solver computes its elliptic integrals itself, so neither
+    # building a drag problem, nor a run, nor scoring one design loads scipy.
+    doc = {**AXISYM_TINY, "budget": 3, "n_elements": 24, "output_dir": str(tmp_path / "run")}
+    config = write_config(tmp_path, doc)
+    exports = [str(tmp_path / name) for name in ("report.json", "profile.csv", "tractions.csv")]
+    run_python(SCIPY_MODULES + f"""
+from shapeopt.cli import cmd_evaluate, main, parse_config
+parse_config({doc!r})
+assert not scipy_modules(), scipy_modules()
+assert main(["run", "--config", {config!r}]) == 0
+assert cmd_evaluate({config!r}, "-1.5708", *{exports!r}) == 0
+assert not scipy_modules(), scipy_modules()
 """)
+    assert (tmp_path / "run" / "seed_0" / "records.jsonl").exists()
+    assert json.loads((tmp_path / "report.json").read_text())["status"] == "ok"
+    assert (tmp_path / "tractions.csv").exists()
 
 
 def test_killed_runs_resume_to_the_uninterrupted_bytes(tmp_path):

@@ -113,6 +113,71 @@ def test_kernel_small_m_branch_continuity():
         assert max(abs(g - w) for g, w in zip(got, want)) < 1e-10
 
 
+def elliptic_k_e(x):
+    """The kernel's K and E of ``m = 1 - x``, in fresh arrays."""
+    return stokesbem._elliptic_k_e(x, np.log(x), np.empty((4, x.size)))
+
+
+def test_elliptic_integrals_match_scipy():
+    from scipy.special import ellipe, ellipkm1
+
+    # scipy's ellipkm1 takes Cephes's separate branch where x <= 2^-53
+    x = np.logspace(-300.0, 0.0, 20001)
+    assert np.count_nonzero(x <= 2.0**-53) > 1000
+    k, _ = elliptic_k_e(x)
+    assert np.max(np.abs(k / ellipkm1(x) - 1.0)) <= 4e-16
+    # ellipe rounds 1 - m itself; give the kernel that same rounded x
+    m = 1.0 - x
+    m = m[m < 1.0]
+    x = 1.0 - m
+    assert np.count_nonzero(x <= 2.0**-53) > 0
+    _, e = elliptic_k_e(x)
+    assert np.max(np.abs(e / ellipe(m) - 1.0)) <= 4e-16
+
+
+def closed_form_kernel(r, z, r0, z0):
+    """The kernel's closed forms in 40-digit arithmetic, from exact float inputs."""
+    mp = pytest.importorskip("mpmath").mp
+    with mp.workdps(40):
+        r, z, r0, z0 = (mp.mpf(float(v)) for v in (r, z, r0, z0))
+        dz2 = (z - z0) ** 2
+        dsq = (r - r0) ** 2 + dz2
+        big_dsq = (r + r0) ** 2 + dz2
+        m = 4 * r * r0 / big_dsq
+        k, e = mp.ellipk(m), mp.ellipe(m)
+        d = mp.sqrt(big_dsq)
+        i10 = 4 * k / d
+        i11 = 4 * (2 * (k - e) / m - k) / d
+        i30 = 4 * e / (d * dsq)
+        e_om = e / (1 - m)
+        i31 = 4 * (2 * (e_om - k) / m - e_om) / (d * big_dsq)
+        return [
+            float(v)
+            for v in (
+                i11 - dz2 * i31,
+                (z - z0) * (r * i30 - r0 * i31),
+                (z - z0) * (r * i31 - r0 * i30),
+                i10 + dz2 * i30,
+            )
+        ]
+
+
+@pytest.mark.parametrize(
+    "m", [1e-12, 1e-4, 0.049, 0.0501, 0.051, 0.06, 0.1, 0.3, 0.5, 0.9, 0.999, 1 - 1e-8]
+)
+def test_kernel_matches_its_closed_forms_in_high_precision(m):
+    # unit rings m = 4 / (4 + dz^2) apart, and a field point off the source
+    # ring (1.0, 0.3) at distance rho along a slanted direction, with rho
+    # solving m rho^2 - 4 (1 - m) r0 c rho - 4 (1 - m) r0^2 = 0
+    c, s = math.cos(0.6), math.sin(0.6)
+    rho = 2.0 * ((1 - m) * c + math.sqrt((1 - m) ** 2 * c * c + m * (1 - m))) / m
+    for args in [(1.0, 2.0 * math.sqrt(1.0 / m - 1.0), 1.0, 0.0),
+                 (1.0 + rho * c, 0.3 + rho * s, 1.0, 0.3)]:
+        got = np.array(ring_stokeslet(*args))
+        want = np.array(closed_form_kernel(*args))
+        assert np.max(np.abs(got - want)) <= 2e-13 * np.max(np.abs(want)), args
+
+
 def test_kernel_exchange_symmetry():
     rng = np.random.default_rng(9)
     for _ in range(50):
