@@ -22,7 +22,6 @@ from .evolution import (
     ProposerError,
     RecordBuffer,
     ScoredRecord,
-    SelectionConfig,
     decode_design,
     encode_design,
     run_optimization,
@@ -51,7 +50,6 @@ __all__ = [
     "QuadraticProblem",
     "RecordBuffer",
     "ScoredRecord",
-    "SelectionConfig",
     "__version__",
     "decode_design",
     "encode_design",

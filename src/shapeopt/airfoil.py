@@ -29,6 +29,10 @@ SECTOR_SPACING = math.pi / 4  # angular distance between sector centers
 SECTOR_HALF_WIDTH = math.pi / 8
 N_CONTROL_POINTS = 4
 FAILURE_REWARD = -5.0
+# Polyline points per Bezier segment, and each handle's length as a
+# fraction of its chord.
+SAMPLES_PER_SEGMENT = 32
+HANDLE_FRACTION = 0.3
 # A failed evaluator's message quotes at most this much of its stderr.
 _STDERR_QUOTE_CHARS = 200
 
@@ -154,8 +158,8 @@ def _cubic_bezier(p0, c1, c2, p3, t: np.ndarray) -> np.ndarray:
 
 def build_airfoil_curve(
     points: list[PolarControlPoint],
-    samples_per_segment: int = 32,
-    handle_fraction: float = 0.3,
+    samples_per_segment: int = SAMPLES_PER_SEGMENT,
+    handle_fraction: float = HANDLE_FRACTION,
 ) -> AirfoilCurve:
     """Closed composite curve of cubic segments through the control points.
 

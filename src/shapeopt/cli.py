@@ -28,7 +28,6 @@ from .evolution import (
     EvaluatorFatal,
     GaussianSearch,
     ProposerError,
-    SelectionConfig,
     encode_design,
     run_optimization,
 )
@@ -65,44 +64,34 @@ class Key(NamedTuple):
 
 
 # Types and choices only: the object that uses a value checks its range, so
-# library callers meet the same limits.  Row order is the snapshot's key order.
+# library callers meet the same limits, and its class attribute is the
+# default.  Row order is the snapshot's key order.
 CONFIG_KEYS = (
     Key("problem", REQUIRED, "string", choices=PROBLEMS),
     Key("optimizer", REQUIRED, "string", choices=OPTIMIZERS),
     Key("budget", 40, "integer"),
-    Key("population_size", 8, "integer"),
-    Key("sigma", None, "number?"),
-    Key("n_ini", 2, "integer"),
-    Key("top_generations", 3, "integer"),
-    Key("recent_generations", 2, "integer"),
-    Key("designs_per_generation", 3, "integer"),
+    Key("population_size", EsConfig.population_size, "integer"),
+    Key("n_ini", EsConfig.n_initial, "integer"),
     Key("seeds", [0], "integer list"),
     Key("output_dir", "runs", "string"),
-    Key("max_workers", 1, "integer"),
-    Key("K", 2, "integer", problems=AXISYM),
-    Key("n_samples", 801, "integer", problems=AXISYM),
-    Key("n_elements", 120, "integer", problems=AXISYM),
-    Key("n_F", 3, "integer", problems=("airfoil",)),
-    Key("free_indices", None, "integer list?", problems=("airfoil",)),
-    Key("samples_per_segment", 32, "integer", problems=("airfoil",)),
-    Key("handle_fraction", 0.3, "number", problems=("airfoil",)),
+    Key("max_workers", EsConfig.max_workers, "integer"),
+    Key("K", AxisymDragProblem.n_modes, "integer", problems=AXISYM),
+    Key("n_samples", AxisymDragProblem.n_samples, "integer", problems=AXISYM),
+    Key("n_elements", AxisymDragProblem.n_elements, "integer", problems=AXISYM),
+    Key("n_F", AirfoilProblem.n_free_points, "integer", problems=("airfoil",)),
     Key("evaluator_command", REQUIRED, "string list", problems=("airfoil",)),
-    Key("reynolds", 100.0, "number", problems=("airfoil",)),
-    Key("baseline_ratio", 0.0, "number", problems=("airfoil",)),
-    Key("evaluator_timeout", 300.0, "number?", problems=("airfoil",)),
-    Key("dimension", 3, "integer", problems=("analytic_test",)),
-    Key("target", None, "number list?", problems=("analytic_test",)),
+    Key("reynolds", EvaluatorConfig.reynolds, "number", problems=("airfoil",)),
+    Key("baseline_ratio", EvaluatorConfig.baseline_ratio, "number", problems=("airfoil",)),
+    Key("evaluator_timeout", EvaluatorConfig.timeout, "number?", problems=("airfoil",)),
+    Key("dimension", QuadraticProblem.dimension, "integer", problems=("analytic_test",)),
+    Key("target", QuadraticProblem.target, "number list?", problems=("analytic_test",)),
     Key("llm.endpoint", REQUIRED, "string"),
     Key("llm.model", REQUIRED, "string"),
-    Key("llm.max_retries", 2, "integer"),
-    Key("llm.timeout", 60.0, "number"),
-    Key("llm.api_key_env", "SHAPEOPT_API_KEY", "string"),
-    Key("ga.tournament_size", 2, "integer"),
-    Key("ga.crossover_rate", 0.9, "number"),
-    Key("ga.blend_alpha", 0.5, "number"),
-    Key("ga.mutation_rate", 0.2, "number"),
-    Key("ga.mutation_sigma", None, "number?"),
-    Key("ga.elite_count", 1, "integer"),
+    Key("llm.max_retries", LlmConfig.max_retries, "integer"),
+    Key("llm.timeout", LlmConfig.timeout, "number"),
+    Key("llm.api_key_env", LlmConfig.api_key_env, "string"),
+    Key("ga.blend_alpha", GaConfig.blend_alpha, "number"),
+    Key("ga.mutation_sigma", GaConfig.mutation_sigma, "number?"),
 )
 
 
@@ -203,13 +192,7 @@ def make_problem(settings: dict):
             timeout=settings["evaluator_timeout"],
             baseline_ratio=settings["baseline_ratio"],
         )
-        return AirfoilProblem(
-            n_free_points=settings["n_F"],
-            free_indices=settings["free_indices"],
-            evaluator=evaluator,
-            samples_per_segment=settings["samples_per_segment"],
-            handle_fraction=settings["handle_fraction"],
-        )
+        return AirfoilProblem(n_free_points=settings["n_F"], evaluator=evaluator)
     return QuadraticProblem(dimension=settings["dimension"], target=settings["target"])
 
 
@@ -217,13 +200,7 @@ def _es_config(settings: dict, seed: int) -> EsConfig:
     return EsConfig(
         budget=settings["budget"],
         population_size=settings["population_size"],
-        sigma=settings["sigma"],
         n_initial=settings["n_ini"],
-        selection=SelectionConfig(
-            top_generations=settings["top_generations"],
-            recent_generations=settings["recent_generations"],
-            designs_per_generation=settings["designs_per_generation"],
-        ),
         seed=seed,
         max_workers=settings["max_workers"],
     )
@@ -231,10 +208,6 @@ def _es_config(settings: dict, seed: int) -> EsConfig:
 
 def _strategy(settings: dict, problem, audit: Callable[[dict], None]) -> AskStrategy:
     if settings["optimizer"] == "ga":
-        require(
-            settings["ga"]["elite_count"] <= settings["population_size"],
-            "ga.elite_count must be at most population_size",
-        )
         return GaSearch(GaConfig(**settings["ga"]))
     if settings["optimizer"] == "mock":
         return GaussianSearch(MockProposer())

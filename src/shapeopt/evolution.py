@@ -12,7 +12,7 @@ proposals unambiguous.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Protocol, Sequence
 
 import numpy as np
@@ -26,8 +26,14 @@ LARGEST = 1.0e6
 # Longest timeout in seconds; subprocess and socket waits overflow far
 # beyond it (poll takes int milliseconds, about 2.1e6 s).
 DAY = 86400.0
-# Default Gaussian and GA mutation step, as a fraction of each half-width.
+# Gaussian step, and the default GA mutation step, as a fraction of each
+# half-width.
 STEP_FRACTION = 0.1
+# The proposer sees the best designs of the top-ranked and the most recent
+# generations: this many of each kind, and this many designs of each.
+TOP_GENERATIONS = 3
+RECENT_GENERATIONS = 2
+DESIGNS_PER_GENERATION = 3
 # Round-off by which a point may stray outside its box and still lie in it.
 _BOX_SLACK = 1e-9
 
@@ -38,6 +44,7 @@ __all__ = [
     "AskStrategy",
     "Bounds",
     "DAY",
+    "DESIGNS_PER_GENERATION",
     "ENCODING_STEPS",
     "EsConfig",
     "EvaluationFailed",
@@ -47,12 +54,13 @@ __all__ = [
     "MeanProposer",
     "Problem",
     "ProposerError",
+    "RECENT_GENERATIONS",
     "RecordBuffer",
     "STATUS_FAILED",
     "STATUS_OK",
     "STEP_FRACTION",
     "ScoredRecord",
-    "SelectionConfig",
+    "TOP_GENERATIONS",
     "decode_design",
     "encode_design",
     "evaluate_designs",
@@ -218,23 +226,6 @@ class RecordBuffer:
         return max(self._bests, key=lambda record: record.score)
 
 
-@dataclass(frozen=True)
-class SelectionConfig:
-    """How many generations and records feed the proposer."""
-
-    top_generations: int = 3
-    recent_generations: int = 2
-    designs_per_generation: int = 3
-
-    def __post_init__(self) -> None:
-        if self.top_generations < 0 or self.recent_generations < 0:
-            raise ValueError("generation counts must be non-negative")
-        if self.top_generations + self.recent_generations < 1:
-            raise ValueError("at least one generation group must be selected")
-        if self.designs_per_generation < 1:
-            raise ValueError("designs_per_generation must be at least 1")
-
-
 def rank_generations(buffer: RecordBuffer) -> list[int]:
     """Generation indices ordered by their best score, ascending.
 
@@ -247,7 +238,7 @@ def rank_generations(buffer: RecordBuffer) -> list[int]:
     return sorted(range(buffer.n_generations), key=lambda g: (best[g], g))
 
 
-def select_records(buffer: RecordBuffer, config: SelectionConfig) -> list[ScoredRecord]:
+def select_records(buffer: RecordBuffer) -> list[ScoredRecord]:
     """Curate the records shown to the proposer.
 
     Takes the top-ranked generations plus the most recent ones (without
@@ -256,18 +247,16 @@ def select_records(buffer: RecordBuffer, config: SelectionConfig) -> list[Scored
     generation in ascending score, so the strongest record appears last.
     """
     ranked = rank_generations(buffer)
-    chosen: set[int] = set()
-    if config.top_generations > 0:
-        chosen.update(ranked[-config.top_generations:])
     n = buffer.n_generations
-    chosen.update(range(max(0, n - config.recent_generations), n))
+    chosen = set(ranked[max(0, n - TOP_GENERATIONS):])
+    chosen.update(range(max(0, n - RECENT_GENERATIONS), n))
     selected = []
     for gen_index in ranked:
         if gen_index not in chosen:
             continue
         # Stable ascending sort; ties keep evaluation order.
         records = sorted(buffer.generation(gen_index), key=lambda rec: rec.score)
-        selected.extend(records[-config.designs_per_generation:])
+        selected.extend(records[-DESIGNS_PER_GENERATION:])
     return selected
 
 
@@ -306,9 +295,7 @@ class EsConfig:
 
     budget: int
     population_size: int = 8
-    sigma: float | None = None  # default: STEP_FRACTION of each half-width
     n_initial: int = 2
-    selection: SelectionConfig = field(default_factory=SelectionConfig)
     seed: int = 0
     max_workers: int = 1
 
@@ -319,8 +306,6 @@ class EsConfig:
             raise ValueError("n_initial (n_ini) must be at least 1")
         if self.budget < 1:
             raise ValueError("budget must be at least one generation")
-        if self.sigma is not None and not 0.0 < self.sigma <= LARGEST:
-            raise ValueError(f"sigma must lie in (0, {LARGEST:g}]")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
         if self.max_workers < 1:
@@ -337,7 +322,7 @@ class AskStrategy(Protocol):
 
 @dataclass
 class GaussianSearch:
-    """Gaussian draws with a fixed sigma around a mean.
+    """Gaussian draws around a mean, STEP_FRACTION of each half-width wide.
 
     The first ``n_initial`` generations draw their means uniformly from the
     seeding range, a fresh draw each time; later generations ask the
@@ -354,14 +339,14 @@ class GaussianSearch:
         if buffer.n_generations < config.n_initial:
             mean = problem.init_range.sample_uniform(rng)
         else:
-            records = select_records(buffer, config.selection)
+            records = select_records(buffer)
             mean = np.asarray(self.proposer.propose(records, bounds), dtype=float)
             if mean.shape != (dimension,):
                 raise ProposerError(
                     f"proposed mean has shape {mean.shape}, expected ({dimension},)"
                 )
             mean = bounds.clamp(mean)
-        sigma = config.sigma or STEP_FRACTION * bounds.half_width
+        sigma = STEP_FRACTION * bounds.half_width
         return sample_generation(mean, sigma, config.population_size, bounds, rng)
 
 

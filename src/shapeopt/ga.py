@@ -28,30 +28,27 @@ from .evolution import (
 __all__ = ["GaConfig", "GaSearch", "ga_step", "run_ga"]
 
 
+# Operator settings of the baseline: contestants per tournament, the chance
+# that a component is crossed and that it mutates, and the designs copied
+# unchanged into the next generation.
+TOURNAMENT_SIZE = 2
+CROSSOVER_RATE = 0.9
+MUTATION_RATE = 0.2
+ELITE_COUNT = 1
+
+
 @dataclass
 class GaConfig:
-    """Operator rates and sizes; sigma defaults to STEP_FRACTION of the half-width."""
+    """Step sizes; sigma defaults to STEP_FRACTION of the half-width."""
 
-    tournament_size: int = 2
-    crossover_rate: float = 0.9
     blend_alpha: float = 0.5
-    mutation_rate: float = 0.2
     mutation_sigma: float | None = None
-    elite_count: int = 1
 
     def __post_init__(self) -> None:
-        if self.tournament_size < 2:
-            raise ValueError("tournament_size must be at least 2")
-        if not 0.0 <= self.crossover_rate <= 1.0:
-            raise ValueError("crossover_rate must lie in [0, 1]")
         if not 0.0 < self.blend_alpha <= LARGEST:
             raise ValueError(f"blend_alpha must lie in (0, {LARGEST:g}]")
-        if not 0.0 <= self.mutation_rate <= 1.0:
-            raise ValueError("mutation_rate must lie in [0, 1]")
         if self.mutation_sigma is not None and not 0.0 < self.mutation_sigma <= LARGEST:
             raise ValueError(f"mutation_sigma must lie in (0, {LARGEST:g}] or be None")
-        if self.elite_count < 0:
-            raise ValueError("elite_count must be non-negative")
 
 
 def _tournament_pick(
@@ -77,8 +74,8 @@ def ga_step(
     then mutates and clamps.
     """
     records = list(population)
-    if cfg.elite_count > len(records):
-        raise ValueError("elite_count exceeds the population size")
+    if ELITE_COUNT > len(records):
+        raise ValueError("ELITE_COUNT exceeds the population size")
     designs = np.array([rec.design for rec in records], dtype=float)
     scores = np.array([rec.score for rec in records], dtype=float)
     d = bounds.dimension
@@ -86,15 +83,15 @@ def ga_step(
 
     next_designs = np.empty_like(designs)
     # stable descending order: negated scores keep ties in evaluation order;
-    # emitting elites by ascending index makes elite_count = N the identity
-    elite = np.sort(np.argsort(-scores, kind="stable")[: cfg.elite_count])
-    next_designs[: cfg.elite_count] = designs[elite]
+    # emitting elites by ascending index makes ELITE_COUNT = N the identity
+    elite = np.sort(np.argsort(-scores, kind="stable")[:ELITE_COUNT])
+    next_designs[:ELITE_COUNT] = designs[elite]
 
-    for slot in range(cfg.elite_count, len(records)):
-        pa = designs[_tournament_pick(scores, cfg.tournament_size, rng)]
-        pb = designs[_tournament_pick(scores, cfg.tournament_size, rng)]
+    for slot in range(ELITE_COUNT, len(records)):
+        pa = designs[_tournament_pick(scores, TOURNAMENT_SIZE, rng)]
+        pb = designs[_tournament_pick(scores, TOURNAMENT_SIZE, rng)]
         child = pa.copy()
-        crossed = rng.random(d) < cfg.crossover_rate
+        crossed = rng.random(d) < CROSSOVER_RATE
         lo = np.minimum(pa, pb)
         hi = np.maximum(pa, pb)
         spread = hi - lo
@@ -102,7 +99,7 @@ def ga_step(
             lo - cfg.blend_alpha * spread, hi + cfg.blend_alpha * spread
         )
         child[crossed] = blended[crossed]
-        mutated = rng.random(d) < cfg.mutation_rate
+        mutated = rng.random(d) < MUTATION_RATE
         noise = sigma * rng.standard_normal(d)
         child[mutated] += noise[mutated]
         next_designs[slot] = child

@@ -143,35 +143,19 @@ class AxisymDragProblem:
 class AirfoilProblem:
     """Lift-to-drag shaping of a closed Bézier profile via an external solver.
 
-    The design vector concatenates the (p, q, m) triples of the free
-    control points; the remaining points sit at their sector centers.
+    The design vector concatenates the (p, q, m) triples of the first
+    ``n_free_points`` control points; the rest sit at their sector centers.
     Entangled profiles and failed evaluations score the fixed penalty; an
     evaluator that cannot be started aborts the run.
     """
 
     n_free_points: int = 3
-    free_indices: tuple[int, ...] | None = None
     evaluator: af.EvaluatorConfig | None = None
-    samples_per_segment: int = 32
-    handle_fraction: float = 0.3
     penalty_score = af.FAILURE_REWARD
 
     def __post_init__(self) -> None:
         if not 1 <= self.n_free_points <= af.N_CONTROL_POINTS:
             raise ValueError("n_free_points must lie in [1, 4]")
-        if self.free_indices is None:
-            self.free_indices = tuple(range(self.n_free_points))
-        self.free_indices = tuple(int(i) for i in self.free_indices)
-        if len(self.free_indices) != self.n_free_points or len(
-            set(self.free_indices)
-        ) != self.n_free_points:
-            raise ValueError("free_indices must be distinct and match n_free_points")
-        if any(i not in range(af.N_CONTROL_POINTS) for i in self.free_indices):
-            raise ValueError("free_indices out of range")
-        if self.samples_per_segment < 2:
-            raise ValueError("samples_per_segment must be at least 2")
-        if not 0.0 < self.handle_fraction <= LARGEST:
-            raise ValueError(f"handle_fraction must lie in (0, {LARGEST:g}]")
         self.bounds = Bounds.uniform(3 * self.n_free_points, -1.0, 1.0)
         self.init_range = self.bounds.central()
         self.objective = (
@@ -185,9 +169,8 @@ class AirfoilProblem:
             raise ValueError("design has the wrong dimension")
         points = []
         for i in range(af.N_CONTROL_POINTS):
-            if i in self.free_indices:
-                k = 3 * self.free_indices.index(i)
-                p, q, m = x[k], x[k + 1], x[k + 2]
+            if i < self.n_free_points:
+                p, q, m = x[3 * i], x[3 * i + 1], x[3 * i + 2]
             else:
                 p, q, m = 0.0, 0.0, 0.0  # fixed points sit at sector centers
             points.append(af.params_to_polar(p, q, m, i))
@@ -195,11 +178,7 @@ class AirfoilProblem:
 
     def curve(self, x: np.ndarray) -> af.AirfoilCurve:
         try:
-            curve = af.build_airfoil_curve(
-                self.control_points(x),
-                self.samples_per_segment,
-                self.handle_fraction,
-            )
+            curve = af.build_airfoil_curve(self.control_points(x))
         except ValueError as exc:
             raise EvaluationFailed(str(exc)) from exc
         if not af.is_simple(curve):

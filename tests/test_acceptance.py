@@ -17,6 +17,7 @@ import pytest
 from scipy.integrate import cumulative_trapezoid
 from scipy.optimize import minimize
 
+from shapeopt import evolution
 from shapeopt.axisym import (
     GeometricConstraint,
     compute_area,
@@ -32,7 +33,6 @@ from shapeopt.evolution import (
     GaussianSearch,
     RecordBuffer,
     ScoredRecord,
-    SelectionConfig,
     decode_design,
     encode_design,
     run_optimization,
@@ -172,17 +172,17 @@ def test_richer_parametrization_is_no_worse(k2_campaign, k5_campaign):
     assert min(k5_campaign.values()) <= min(bests2.values()) + 0.005
 
 
-def test_record_selection_matches_brute_force():
-    def brute_force(buffer, cfg):
+def test_record_selection_matches_brute_force(monkeypatch):
+    def brute_force(buffer, top, recent, designs):
         bests = [
             max(r.score for r in buffer.generation(g))
             for g in range(buffer.n_generations)
         ]
         ranked = sorted(range(buffer.n_generations), key=lambda g: (bests[g], g))
-        chosen = set(ranked[max(0, len(ranked) - cfg.top_generations):])
+        chosen = set(ranked[max(0, len(ranked) - top):])
         chosen |= set(
             range(
-                max(0, buffer.n_generations - cfg.recent_generations),
+                max(0, buffer.n_generations - recent),
                 buffer.n_generations,
             )
         )
@@ -190,7 +190,7 @@ def test_record_selection_matches_brute_force():
         for g in ranked:
             if g in chosen:
                 ordered = sorted(buffer.generation(g), key=lambda r: r.score)
-                out.extend(ordered[-cfg.designs_per_generation:])
+                out.extend(ordered[-designs:])
         return out
 
     rng = np.random.default_rng(99)
@@ -206,18 +206,17 @@ def test_record_selection_matches_brute_force():
         top, recent = int(rng.integers(0, 6)), int(rng.integers(0, 6))
         if top + recent == 0:
             continue
-        cfg = SelectionConfig(
-            top_generations=top,
-            recent_generations=recent,
-            designs_per_generation=int(rng.integers(1, 6)),
-        )
+        designs = int(rng.integers(1, 6))
+        monkeypatch.setattr(evolution, "TOP_GENERATIONS", top)
+        monkeypatch.setattr(evolution, "RECENT_GENERATIONS", recent)
+        monkeypatch.setattr(evolution, "DESIGNS_PER_GENERATION", designs)
         ours = [
             (r.generation, r.score, float(r.design[0]))
-            for r in select_records(buffer, cfg)
+            for r in select_records(buffer)
         ]
         ref = [
             (r.generation, r.score, float(r.design[0]))
-            for r in brute_force(buffer, cfg)
+            for r in brute_force(buffer, top, recent, designs)
         ]
         assert ours == ref
 

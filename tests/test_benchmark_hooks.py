@@ -1,20 +1,48 @@
-"""The benchmark's campaign hooks still find, and fire on, every name they patch.
+"""The benchmark still runs on shapeopt: its configs parse, its hooks fire.
 
+``perfbench/workloads.py`` writes one run config per workload, and
 ``perfbench/campaign.py`` wraps shapeopt functions and methods by name.  A
-rename in ``src/`` would end every benchmark campaign in AttributeError, so
-this installs its tracing and timing hooks in a fresh process and drives one
-small mock run through them.  Nothing under ``perfbench/`` is changed.
+dropped config key would end a campaign in exit 2 and a rename in ``src/``
+would end it in AttributeError, so this parses every workload's config and
+installs the tracing and timing hooks in a fresh process to drive one small
+mock run through them.  Nothing under ``perfbench/`` is changed.
 """
 
+import importlib.util
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import shapeopt
+from shapeopt.cli import parse_config
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def load_workloads() -> dict:
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", PERFBENCH / "workloads.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module.WORKLOADS
+
+
+WORKLOADS = load_workloads()
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_workload_configs_parse(name, tmp_path):
+    workload = WORKLOADS[name]
+    doc = workload.run_config(7, str(tmp_path), endpoint="http://127.0.0.1:9/v1")
+    settings = parse_config(doc)
+    assert settings["budget"] == workload.budget
+    assert settings["optimizer"] == doc["optimizer"]
 
 SCRIPT = """
 import json

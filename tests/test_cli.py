@@ -80,9 +80,8 @@ def test_parse_config_materializes_defaults():
     settings = parse_config({"problem": "analytic_test", "optimizer": "mock"})
     assert settings == {
         "problem": "analytic_test", "optimizer": "mock", "budget": 40,
-        "population_size": 8, "sigma": None, "n_ini": 2, "top_generations": 3,
-        "recent_generations": 2, "designs_per_generation": 3, "seeds": [0],
-        "output_dir": "runs", "max_workers": 1, "dimension": 3, "target": None,
+        "population_size": 8, "n_ini": 2, "seeds": [0], "output_dir": "runs",
+        "max_workers": 1, "dimension": 3, "target": None,
     }
 
 
@@ -96,33 +95,33 @@ def test_parse_config_materializes_defaults():
         {"budget": "4"},
         {"population_size": 0},
         {"n_ini": 0},
-        {"sigma": -1.0},
+        {"max_workers": 0},
         {"seeds": []},
         {"seeds": [1, 1]},
         {"seeds": "0"},
         {"output_dir": ""},
-        {"top_generations": 0, "recent_generations": 0},
-        {"designs_per_generation": 0},
+        {**AIRFOIL, "n_F": 0},
+        {**AIRFOIL, "n_F": 5},
         {"mystery_key": 1},
         {"dimension": 0},
         {"target": [1.0]},  # wrong length for dimension 3
         {"seeds": [-1]},
-        {"optimizer": "ga", "ga": {"crossover_rate": 2.0}},
+        {"optimizer": "ga", "ga": {"mutation_sigma": 0}},
         {"optimizer": "ga", "ga": {"blend_alpha": 0}},
         {"optimizer": "ga", "ga": {"mutation_sigma": "abc"}},
         {"optimizer": "ga", "ga": []},
         {"optimizer": "llm", "llm": {**LLM_BLOCK, "timeout": "abc"}},
         {**AIRFOIL, "reynolds": "abc"},
         {**AIRFOIL, "reynolds": "100"},  # numeric keys take JSON numbers only
-        {**AIRFOIL, "free_indices": [True]},
-        {**AIRFOIL, "handle_fraction": True},
-        {**AIRFOIL, "handle_fraction": 0},
+        {**AIRFOIL, "n_F": True},
+        {**AIRFOIL, "reynolds": True},
+        {"optimizer": "llm", "llm": {**LLM_BLOCK, "max_retries": -1}},
         {"optimizer": "llm", "llm": {**LLM_BLOCK, "timeout": 0}},
         {**AIRFOIL, "evaluator_timeout": -1},
         {**AIRFOIL, "evaluator_timeout": 0},
         {"target": [math.nan, 0.1, 0.2]},
         {"target": [0.1, math.inf, 0.2]},
-        {"sigma": -math.inf},
+        {"optimizer": "ga", "ga": {"blend_alpha": -math.inf}},
         {"optimizer": "ga", "ga": {"mutation_sigma": math.nan}},
         {"optimizer": "llm", "llm": {**LLM_BLOCK, "timeout": math.inf}},
         {"optimizer": "llm", "llm": {**LLM_BLOCK, "timeout": 1e308}},
@@ -132,10 +131,10 @@ def test_parse_config_materializes_defaults():
         {**AIRFOIL, "evaluator_timeout": 2.2e6},
         {"dimension": 2, "target": [1e308, -0.0]},
         {"dimension": 2, "target": [0.5, -1e308]},
-        {"sigma": 1e308},
-        {"optimizer": "ga", "ga": {"mutation_sigma": 1e308, "mutation_rate": 1.0}},
+        {"optimizer": "ga", "ga": {"mutation_sigma": -1e308}},
+        {"optimizer": "ga", "ga": {"mutation_sigma": 1e308}},
         {"optimizer": "ga", "ga": {"blend_alpha": 1e308}},
-        {**AIRFOIL, "handle_fraction": 1e308},
+        {**AIRFOIL, "evaluator_command": "solver"},
     ],
 )
 def test_parse_config_rejects(overrides):
@@ -174,7 +173,7 @@ REQUIRED_ARGS = {
 @pytest.mark.parametrize(
     "build, name, value",
     [
-        (EsConfig, "sigma", 1e308),
+        (EsConfig, "max_workers", 0),
         (EsConfig, "seed", -1),
         (GaConfig, "blend_alpha", 1e308),
         (GaConfig, "mutation_sigma", 1e308),
@@ -185,8 +184,7 @@ REQUIRED_ARGS = {
         (AxisymDragProblem, "n_samples", 200),
         (AxisymDragProblem, "n_elements", 4),
         (AxisymDragProblem, "n_elements", 500),
-        (AirfoilProblem, "samples_per_segment", 1),
-        (AirfoilProblem, "handle_fraction", 1e308),
+        (AirfoilProblem, "n_free_points", 5),
     ],
 )
 def test_owners_refuse_out_of_range_values(build, name, value):
@@ -231,27 +229,45 @@ def test_parse_config_llm_block():
         parse_config(doc)
 
 
-def test_ga_elite_count_above_population_exits_2(tmp_path, capsys):
-    doc = {**ANALYTIC, "optimizer": "ga", "ga": {"elite_count": 4}}
-    config = write_config(tmp_path, doc)
-    out = tmp_path / "runs"
-    assert run_cli("run", "--config", config, "--out", str(out)) == EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "ga.elite_count" in err
-    assert not out.exists()
-
-
 def test_parse_config_ga_block():
     doc = {"problem": "analytic_test", "optimizer": "ga", "population_size": 4}
     settings = parse_config(doc)
-    assert settings["ga"]["elite_count"] == 1
-    assert settings["ga"]["tournament_size"] == 2
-    doc["ga"] = {"elite_count": 5}
-    with pytest.raises(ConfigError, match="elite_count"):
-        parse_config(doc)
+    assert settings["ga"] == {"blend_alpha": 0.5, "mutation_sigma": None}
     doc["ga"] = {"nonsense": 1}
     with pytest.raises(ConfigError, match="unknown ga"):
         parse_config(doc)
+
+
+# Settings that are module constants, not config keys, with valid values.
+CONSTANT_KEYS = {
+    "sigma": 0.2,
+    "top_generations": 3,
+    "recent_generations": 2,
+    "designs_per_generation": 3,
+    "free_indices": [0, 1, 2],
+    "samples_per_segment": 32,
+    "handle_fraction": 0.3,
+    "ga.tournament_size": 2,
+    "ga.crossover_rate": 0.9,
+    "ga.mutation_rate": 0.2,
+    "ga.elite_count": 1,
+}
+
+
+@pytest.mark.parametrize("key", CONSTANT_KEYS)
+def test_constant_settings_are_unknown_keys(tmp_path, capsys, key):
+    block, _, name = key.rpartition(".")
+    value = CONSTANT_KEYS[key]
+    if block:
+        doc = {**ANALYTIC, "optimizer": "ga", "ga": {name: value}}
+    else:
+        doc = {**AIRFOIL, "optimizer": "mock", name: value}
+    out = tmp_path / "runs"
+    config = write_config(tmp_path, {**doc, "output_dir": str(out)})
+    assert run_cli("run", "--config", config) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"keys: ['{name}']" in err
+    assert not out.exists()
 
 
 # Integers stay small apart from two that overflow: parse_config builds the
@@ -268,17 +284,12 @@ JSON_VALUES = st.recursive(
 )
 SECTION_KEYS = {
     "": [
-        "budget", "population_size", "sigma", "n_ini", "top_generations",
-        "recent_generations", "designs_per_generation", "seeds", "output_dir",
-        "max_workers", "K", "n_samples", "n_elements", "n_F", "free_indices",
-        "samples_per_segment", "handle_fraction", "evaluator_command", "reynolds",
+        "budget", "population_size", "n_ini", "seeds", "output_dir", "max_workers",
+        "K", "n_samples", "n_elements", "n_F", "evaluator_command", "reynolds",
         "baseline_ratio", "evaluator_timeout", "dimension", "target",
     ],
     "llm": ["endpoint", "model", "max_retries", "timeout", "api_key_env"],
-    "ga": [
-        "tournament_size", "crossover_rate", "blend_alpha", "mutation_rate",
-        "mutation_sigma", "elite_count",
-    ],
+    "ga": ["blend_alpha", "mutation_sigma"],
 }
 
 
@@ -317,10 +328,6 @@ CHEAP_VALID = {
     "population_size": st.integers(1, 3),
     "dimension": st.integers(1, 3),
     "n_ini": st.integers(1, 2),
-    "sigma": st.none() | st.floats(1e-3, 1.0),
-    "top_generations": st.integers(0, 2),
-    "recent_generations": st.integers(1, 2),
-    "designs_per_generation": st.integers(1, 3),
     "seeds": st.lists(st.integers(0, 5), min_size=1, max_size=2, unique=True),
 }
 SIZES = ("budget", "population_size", "dimension")
@@ -366,12 +373,8 @@ def test_runs_at_the_largest_scales_do_not_overflow(tmp_path):
     )
     big = LARGEST
     docs = [
-        {**ANALYTIC, "target": [big, -big], "sigma": big},
-        {
-            **ANALYTIC,
-            "optimizer": "ga",
-            "ga": {"blend_alpha": big, "mutation_sigma": big, "mutation_rate": 1.0},
-        },
+        {**ANALYTIC, "target": [big, -big]},
+        {**ANALYTIC, "optimizer": "ga", "ga": {"blend_alpha": big, "mutation_sigma": big}},
         {
             **AIRFOIL,
             "optimizer": "mock",
@@ -379,8 +382,8 @@ def test_runs_at_the_largest_scales_do_not_overflow(tmp_path):
             "population_size": 2,
             "n_ini": 1,
             "n_F": 2,
-            "samples_per_segment": 8,
-            "handle_fraction": big,
+            "reynolds": big,
+            "baseline_ratio": -big,
             "evaluator_command": [sys.executable, str(stub)],
         },
     ]
@@ -401,8 +404,8 @@ def test_parse_config_timeouts_reach_one_day():
 # Values Python's json reads into numbers that no key can use, or that
 # overflow what a key feeds; -0.0 is finite and sits on the zero bounds.
 SPECIAL_NUMBERS = st.sampled_from([math.nan, math.inf, -math.inf, 1e308, -0.0])
-NUMERIC_KEYS = ("sigma", "target", "budget", "dimension")
-GA_NUMERIC_KEYS = ("crossover_rate", "blend_alpha", "mutation_rate", "mutation_sigma")
+NUMERIC_KEYS = ("target", "budget", "dimension")
+GA_NUMERIC_KEYS = ("blend_alpha", "mutation_sigma")
 
 
 @st.composite
@@ -482,11 +485,7 @@ LLM_SNAPSHOT = """{
   "optimizer": "llm",
   "budget": 2,
   "population_size": 3,
-  "sigma": 0.25,
   "n_ini": 2,
-  "top_generations": 3,
-  "recent_generations": 2,
-  "designs_per_generation": 3,
   "seeds": [
     SEED
   ],
@@ -512,11 +511,7 @@ GA_SNAPSHOT = """{
   "optimizer": "ga",
   "budget": 2,
   "population_size": 3,
-  "sigma": null,
   "n_ini": 1,
-  "top_generations": 3,
-  "recent_generations": 2,
-  "designs_per_generation": 3,
   "seeds": [
     SEED
   ],
@@ -525,12 +520,8 @@ GA_SNAPSHOT = """{
   "dimension": 2,
   "target": null,
   "ga": {
-    "tournament_size": 2,
-    "crossover_rate": 0.9,
     "blend_alpha": 0.5,
-    "mutation_rate": 0.5,
-    "mutation_sigma": null,
-    "elite_count": 2
+    "mutation_sigma": 1.0
   }
 }
 """
@@ -542,14 +533,14 @@ def test_config_json_bytes(tmp_path):
     # With n_ini equal to the budget the llm run never calls its endpoint.
     llm_out = str(tmp_path / "llm")
     llm = {
-        **ANALYTIC, "optimizer": "llm", "budget": 2, "n_ini": 2, "sigma": 0.25,
+        **ANALYTIC, "optimizer": "llm", "budget": 2, "n_ini": 2,
         "target": [0.1, -0.2], "seeds": [5, 1], "output_dir": llm_out,
         "llm": {**LLM_BLOCK, "timeout": 5},
     }
     assert run_cli("run", "--config", write_config(tmp_path, llm, "llm.json")) == EXIT_OK
     ga_out = str(tmp_path / "ga")
     ga = {**ANALYTIC, "optimizer": "ga", "budget": 2, "seeds": [4],
-          "ga": {"elite_count": 2, "mutation_rate": 0.5}}
+          "ga": {"mutation_sigma": 1}}
     config = write_config(tmp_path, ga, "ga.json")
     assert run_cli("run", "--config", config, "--out", ga_out) == EXIT_OK
     for template, out, seed in (
@@ -637,11 +628,11 @@ def test_ga_run_resume_matches(tmp_path):
 
 
 def test_bad_config_value_exits_2_before_writing(tmp_path, capsys):
-    doc = {**ANALYTIC, "optimizer": "ga", "ga": {"crossover_rate": 2.0}}
+    doc = {**ANALYTIC, "optimizer": "ga", "ga": {"mutation_sigma": -1.0}}
     config = write_config(tmp_path, doc)
     out = tmp_path / "runs"
     assert run_cli("run", "--config", config, "--out", str(out)) == EXIT_CONFIG
-    assert "crossover_rate" in capsys.readouterr().err
+    assert "mutation_sigma" in capsys.readouterr().err
     assert not (out / "seed_0").exists()
 
 
@@ -688,10 +679,10 @@ def test_resume_with_different_config_exits_2_and_keeps_bytes(tmp_path, capsys):
     assert run_cli("run", "--config", config, "--out", out) == EXIT_OK
     run_dir = tmp_path / "run" / "seed_0"
     before = {name: (run_dir / name).read_bytes() for name in ("records.jsonl", "config.json")}
-    changed = write_config(tmp_path, {**ANALYTIC, "sigma": 0.3, "budget": 6}, "changed.json")
+    changed = write_config(tmp_path, {**ANALYTIC, "n_ini": 2, "budget": 6}, "changed.json")
     assert run_cli("run", "--config", changed, "--out", out, "--resume") == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert "differs from" in err and " in sigma;" in err  # budget may change
+    assert "differs from" in err and " in n_ini;" in err  # budget may change
     assert {name: (run_dir / name).read_bytes() for name in before} == before
 
     (run_dir / "config.json").unlink()
@@ -895,7 +886,7 @@ def test_killed_runs_resume_to_the_uninterrupted_bytes(tmp_path):
 
 def test_ga_cli_matches_library_loop(tmp_path):
     budget = 5
-    ga = {"elite_count": 2, "mutation_rate": 0.5}
+    ga = {"blend_alpha": 0.25, "mutation_sigma": 0.05}
     doc = {**ANALYTIC, "optimizer": "ga", "budget": budget, "seeds": [4], "ga": ga}
     config = write_config(tmp_path, doc)
     run_cli("run", "--config", config, "--out", str(tmp_path / "cli"))
@@ -1341,11 +1332,10 @@ def test_airfoil_run_with_stub_evaluator(tmp_path):
         "n_ini": 1,
         "seeds": [0],
         "n_F": 2,
-        "samples_per_segment": 8,
         "evaluator_command": [_sys.executable, str(stub)],
     }
     config = write_config(tmp_path, doc)
     out = tmp_path / "airfoil_run"
     assert run_cli("run", "--config", config, "--out", str(out)) == EXIT_OK
     summary = json.loads((out / "seed_0" / "summary.json").read_text())
-    assert summary["best_score"] == pytest.approx(2.0 / 33)  # 4*8+1 lines, doubled
+    assert summary["best_score"] == pytest.approx(2.0 / 129)  # 4*32+1 lines, doubled

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shapeopt import evolution
 from shapeopt.evolution import (
     Bounds,
     EsConfig,
@@ -16,7 +17,6 @@ from shapeopt.evolution import (
     ProposerError,
     RecordBuffer,
     ScoredRecord,
-    SelectionConfig,
     decode_design,
     encode_design,
     evaluate_designs,
@@ -26,6 +26,12 @@ from shapeopt.evolution import (
     sample_generation,
     select_records,
 )
+
+
+def set_selection(monkeypatch, top, recent, designs):
+    monkeypatch.setattr(evolution, "TOP_GENERATIONS", top)
+    monkeypatch.setattr(evolution, "RECENT_GENERATIONS", recent)
+    monkeypatch.setattr(evolution, "DESIGNS_PER_GENERATION", designs)
 
 
 def buffer_from_scores(score_lists):
@@ -160,16 +166,14 @@ def test_rank_best_scores_non_decreasing():
     assert all(a <= b for a, b in zip(bests, bests[1:]))
 
 
-def test_select_records_worked_example():
+def test_select_records_worked_example(monkeypatch):
     # three generations of 4; T=1 picks the generation whose best is 3.0,
     # R=1 adds the newest; within each, the top-2 ascending, best last
     buffer = buffer_from_scores(
         [[0.2, 1.0, 0.5, 0.1], [1.5, 3.0, 0.3, 0.9], [2.0, 0.4, 0.6, 1.1]]
     )
-    cfg = SelectionConfig(
-        top_generations=1, recent_generations=1, designs_per_generation=2
-    )
-    out = select_records(buffer, cfg)
+    set_selection(monkeypatch, top=1, recent=1, designs=2)
+    out = select_records(buffer)
     assert [(r.generation, r.score) for r in out] == [
         (2, 1.1),
         (2, 2.0),
@@ -178,37 +182,33 @@ def test_select_records_worked_example():
     ]
 
 
-def test_select_records_saturation_and_m_cap():
+def test_select_records_saturation_and_m_cap(monkeypatch):
     buffer = buffer_from_scores([[1.0, 2.0], [4.0, 3.0]])
-    cfg = SelectionConfig(
-        top_generations=5, recent_generations=5, designs_per_generation=10
-    )
-    out = select_records(buffer, cfg)
+    set_selection(monkeypatch, top=5, recent=5, designs=10)
+    out = select_records(buffer)
     assert len(out) == 4  # every record, capped by generation sizes
     assert out[-1].score == 4.0
 
 
-def brute_force_select(buffer, cfg):
+def brute_force_select(buffer, top, recent, designs):
     """Straight reimplementation of the stated selection rule."""
     bests = [
         max(r.score for r in buffer.generation(g))
         for g in range(buffer.n_generations)
     ]
     ranked = sorted(range(buffer.n_generations), key=lambda g: (bests[g], g))
-    chosen = set(ranked[max(0, len(ranked) - cfg.top_generations) :] if cfg.top_generations else [])
-    chosen |= set(
-        range(max(0, buffer.n_generations - cfg.recent_generations), buffer.n_generations)
-    )
+    chosen = set(ranked[max(0, len(ranked) - top) :] if top else [])
+    chosen |= set(range(max(0, buffer.n_generations - recent), buffer.n_generations))
     out = []
     for g in ranked:
         if g not in chosen:
             continue
         recs = sorted(buffer.generation(g), key=lambda r: r.score)
-        out.extend(recs[-cfg.designs_per_generation :])
+        out.extend(recs[-designs:])
     return out
 
 
-def test_select_records_matches_brute_force():
+def test_select_records_matches_brute_force(monkeypatch):
     rng = np.random.default_rng(17)
     for _ in range(200):
         n_gen = int(rng.integers(1, 9))
@@ -218,26 +218,14 @@ def test_select_records_matches_brute_force():
         top, recent = int(rng.integers(0, 5)), int(rng.integers(0, 5))
         if top + recent == 0:
             continue
-        cfg = SelectionConfig(
-            top_generations=top,
-            recent_generations=recent,
-            designs_per_generation=int(rng.integers(1, 5)),
-        )
-        ours = select_records(buffer, cfg)
-        ref = brute_force_select(buffer, cfg)
+        designs = int(rng.integers(1, 5))
+        set_selection(monkeypatch, top, recent, designs)
+        ours = select_records(buffer)
+        ref = brute_force_select(buffer, top, recent, designs)
         assert [(r.generation, r.score) for r in ours] == [
             (r.generation, r.score) for r in ref
         ]
-        assert len(ours) <= (cfg.top_generations + cfg.recent_generations) * (
-            cfg.designs_per_generation
-        )
-
-
-def test_selection_config_validation():
-    with pytest.raises(ValueError):
-        SelectionConfig(top_generations=0, recent_generations=0)
-    with pytest.raises(ValueError):
-        SelectionConfig(designs_per_generation=0)
+        assert len(ours) <= (top + recent) * designs
 
 
 # ---------------------------------------------------------------- sampling
@@ -440,7 +428,5 @@ def test_config_validation():
         EsConfig(budget=0)
     with pytest.raises(ValueError):
         EsConfig(budget=1, population_size=0)
-    with pytest.raises(ValueError):
-        EsConfig(budget=1, sigma=-0.1)
     with pytest.raises(ValueError):
         EsConfig(budget=1, n_initial=0)

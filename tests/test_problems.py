@@ -172,24 +172,25 @@ def test_airfoil_dimension_and_validation():
         AirfoilProblem(n_free_points=0)
     with pytest.raises(ValueError):
         AirfoilProblem(n_free_points=5)
-    with pytest.raises(ValueError):
-        AirfoilProblem(n_free_points=2, free_indices=(0, 0))
-    with pytest.raises(ValueError):
-        AirfoilProblem(n_free_points=2, free_indices=(0, 7))
 
 
 def test_airfoil_free_and_fixed_point_mapping():
-    problem = AirfoilProblem(n_free_points=2, free_indices=(1, 3))
+    # the first n_free_points points are free, in design order
+    problem = AirfoilProblem(n_free_points=2)
     x = np.array([0.5, -0.5, 0.25, -0.25, 0.75, -0.75])
     points = problem.control_points(x)
     assert [pt.index for pt in points] == [0, 1, 2, 3]
-    # fixed points sit exactly at their sector centers
-    assert points[0].rho == pytest.approx(1.8) and points[0].theta == 0.0
-    assert points[2].theta == pytest.approx(math.pi / 2)
     # free points decode their (p, q, m) triples
-    assert points[1].rho == pytest.approx(0.6 + 1.5 * 1.2)
-    assert points[1].sharpness == pytest.approx(0.625)
-    assert points[3].sharpness == pytest.approx(0.125)
+    assert points[0].rho == pytest.approx(0.6 + 1.5 * 1.2)
+    assert points[0].theta == pytest.approx(-math.pi / 16)
+    assert points[0].sharpness == pytest.approx(0.625)
+    assert points[1].rho == pytest.approx(0.6 + 0.75 * 1.2)
+    assert points[1].theta == pytest.approx(1.375 * math.pi / 4)
+    assert points[1].sharpness == pytest.approx(0.125)
+    # fixed points sit exactly at their sector centers
+    for pt in points[2:]:
+        assert pt.rho == pytest.approx(1.8) and pt.sharpness == 0.5
+        assert pt.theta == pytest.approx(pt.index * math.pi / 4)
     with pytest.raises(ValueError):
         problem.control_points(np.zeros(5))
 
