@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .evolution import DAY
+from .evolution import DAY, LARGEST
 
 RHO_MIN = 0.6
 RHO_MAX = 3.0
@@ -286,6 +286,9 @@ class EvaluatorConfig:
             raise ValueError("evaluator command must not be empty")
         if self.timeout is not None and not 0.0 < self.timeout <= DAY:
             raise ValueError(f"evaluator timeout must lie in (0, {DAY:g}] s or be None")
+        for name in ("reynolds", "baseline_ratio"):
+            if not abs(getattr(self, name)) <= LARGEST:
+                raise ValueError(f"{name} must lie within +-{LARGEST:g}")
 
 
 class EvaluatorError(Exception):

@@ -11,6 +11,7 @@ proposals unambiguous.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Protocol, Sequence
@@ -34,6 +35,12 @@ STEP_FRACTION = 0.1
 TOP_GENERATIONS = 3
 RECENT_GENERATIONS = 2
 DESIGNS_PER_GENERATION = 3
+# Most designs in one generation.  A run keeps every record, and one memo
+# entry per distinct scored design, in memory to its end, and draws each
+# generation as one array: 10,000 is over a thousand times the paper's 8,
+# and one generation of the largest analytic design
+# (problems.MAX_DIMENSION) then takes 80 MB.
+MAX_POPULATION = 10_000
 # Round-off by which a point may stray outside its box and still lie in it.
 _BOX_SLACK = 1e-9
 
@@ -51,6 +58,7 @@ __all__ = [
     "EvaluatorFatal",
     "GaussianSearch",
     "LARGEST",
+    "MAX_POPULATION",
     "MeanProposer",
     "Problem",
     "ProposerError",
@@ -181,12 +189,23 @@ class ScoredRecord:
             raise ValueError(f"unknown evaluation status {self.status!r}")
 
 
+def _design_key(design: np.ndarray) -> bytes:
+    """Memo key: the exact float64 bits, so -0.0 and 0.0 stay distinct."""
+    return np.asarray(design, dtype=float).tobytes()
+
+
 class RecordBuffer:
-    """Scored designs grouped by contiguous generation index."""
+    """Scored designs grouped by contiguous generation index.
+
+    It also remembers the score of every design it holds an ``ok`` record
+    of, so a run scores each distinct design at most once.  Failed designs
+    are not remembered: a later generation that proposes one tries it again.
+    """
 
     def __init__(self) -> None:
         self._generations: list[list[ScoredRecord]] = []
         self._bests: list[ScoredRecord] = []
+        self._scores: dict[bytes, float] = {}
 
     def __len__(self) -> int:
         return sum(len(g) for g in self._generations)
@@ -206,11 +225,18 @@ class RecordBuffer:
                     f"record generation {record.generation} != next index {expected}"
                 )
         self._generations.append(records)
+        for record in records:
+            if record.status == STATUS_OK:
+                self._scores.setdefault(_design_key(record.design), record.score)
         # max keeps the first of equal scores: ties keep evaluation order.
         self._bests.append(max(records, key=lambda record: record.score))
 
     def generation(self, index: int) -> list[ScoredRecord]:
         return list(self._generations[index])
+
+    def known_score(self, design: np.ndarray) -> float | None:
+        """Score of an ``ok`` record with these exact design bits, else None."""
+        return self._scores.get(_design_key(design))
 
     def all_records(self) -> list[ScoredRecord]:
         return [record for gen in self._generations for record in gen]
@@ -300,8 +326,8 @@ class EsConfig:
     max_workers: int = 1
 
     def __post_init__(self) -> None:
-        if self.population_size < 1:
-            raise ValueError("population_size must be at least 1")
+        if not 1 <= self.population_size <= MAX_POPULATION:
+            raise ValueError(f"population_size must lie in [1, {MAX_POPULATION}]")
         if self.n_initial < 1:
             raise ValueError("n_initial (n_ini) must be at least 1")
         if self.budget < 1:
@@ -365,24 +391,42 @@ def evaluate_designs(
     designs: np.ndarray,
     generation: int,
     mapper: Callable = map,
+    buffer: RecordBuffer | None = None,
 ) -> list[ScoredRecord]:
     """Score a population; per-design failures become penalty records.
 
-    ``mapper`` applies the scoring to the designs in order: the builtin
-    ``map``, or a thread pool's ``map`` to score several at once.
+    A score that is not finite is a failure too.  ``mapper`` applies the
+    scoring to the designs in order: the builtin ``map``, or a thread
+    pool's ``map`` to score several at once.  Only the first of
+    bit-identical designs is scored, and none that ``buffer`` already holds
+    an ``ok`` record of; the problem's score must depend on the design alone.
     """
 
     def score_one(design: np.ndarray) -> tuple[float, str]:
         try:
-            return float(problem.evaluate(design)), STATUS_OK
+            score = float(problem.evaluate(design))
+            if math.isfinite(score):
+                return score, STATUS_OK
         except EvaluationFailed:
-            return float(problem.penalty_score), STATUS_FAILED
+            pass
+        return float(problem.penalty_score), STATUS_FAILED
 
     designs = np.asarray(designs, dtype=float)
-    outcomes = list(mapper(score_one, designs))
+    keys = [_design_key(design) for design in designs]
+    outcomes: dict[bytes, tuple[float, str]] = {}
+    fresh: dict[bytes, np.ndarray] = {}  # first of each unscored design
+    for key, design in zip(keys, designs):
+        if key in outcomes or key in fresh:
+            continue
+        score = None if buffer is None else buffer.known_score(design)
+        if score is None:
+            fresh[key] = design
+        else:
+            outcomes[key] = score, STATUS_OK
+    outcomes.update(zip(fresh, mapper(score_one, fresh.values())))
     return [
         ScoredRecord(design=design, score=score, generation=generation, status=status)
-        for design, (score, status) in zip(designs, outcomes)
+        for design, (score, status) in zip(designs, map(outcomes.get, keys))
     ]
 
 
@@ -410,7 +454,7 @@ def run_optimization(
         for generation in range(buffer.n_generations, config.budget):
             rng = generation_rng(config.seed, generation)
             designs = strategy.ask(buffer, rng, problem, config)
-            records = evaluate_designs(problem, designs, generation, mapper)
+            records = evaluate_designs(problem, designs, generation, mapper, buffer)
             buffer.append_generation(records)
             if on_generation is not None:
                 on_generation(records)

@@ -35,12 +35,17 @@ from .stokesbem import (
 COEFF_BOUND = math.pi  # tangent-angle coefficients beyond |pi| fold the meridian
 AXISYM_PENALTY = -1.0e3
 _MIN_RADIUS_TOL = -1.0e-8
+# Most components of an analytic test design: over eighty times the largest
+# shape design (12 airfoil coefficients), and with evolution.MAX_POPULATION
+# one generation of it takes 80 MB.
+MAX_DIMENSION = 1000
 
 __all__ = [
     "AXISYM_PENALTY",
     "AirfoilProblem",
     "AxisymDragProblem",
     "COEFF_BOUND",
+    "MAX_DIMENSION",
     "QuadraticProblem",
 ]
 
@@ -54,6 +59,8 @@ class QuadraticProblem:
     penalty_score = -1.0e3
 
     def __post_init__(self) -> None:
+        if not 1 <= self.dimension <= MAX_DIMENSION:
+            raise ValueError(f"dimension must lie in [1, {MAX_DIMENSION}]")
         self.bounds = Bounds.uniform(self.dimension, -1.0, 1.0)
         self.init_range = self.bounds.central()
         if self.target is None:

@@ -66,7 +66,9 @@ def _replacing(path: Path) -> Iterator[Path]:
 def _append_lines(path: Path, entries: Sequence[dict]) -> None:
     """Append one JSON line per entry: the records and the audit only grow."""
     with open(path, "a", encoding="utf-8") as handle:
-        handle.writelines(json.dumps(entry) + "\n" for entry in entries)
+        handle.writelines(
+            json.dumps(entry, allow_nan=False) + "\n" for entry in entries
+        )
 
 
 class RecordWriter:
@@ -109,11 +111,14 @@ def _read_record(entry, dimension: int | None, where: str) -> ScoredRecord:
     )
     require(fits("number", entry.get("score")), f"{where}: score must be a number")
     try:
-        return ScoredRecord(
+        record = ScoredRecord(
             np.array(design, dtype=float), entry["score"], g, entry.get("status")
         )
     except (ValueError, OverflowError) as exc:  # bad status, or an int beyond float
         raise ConfigError(f"{where}: {exc}") from exc
+    # json reads NaN and Infinity, which no record holds
+    require(np.isfinite(record.score), f"{where}: score must be finite")
+    return record
 
 
 def _parse_records(
@@ -255,7 +260,7 @@ def write_tractions(path: Path, mesh, q_r, q_z) -> None:
 
 def write_json(path: Path, doc) -> None:
     with _replacing(path) as tmp, open(tmp, "w", encoding="utf-8") as handle:
-        json.dump(doc, handle, indent=2)
+        json.dump(doc, handle, indent=2, allow_nan=False)
         handle.write("\n")
 
 

@@ -32,10 +32,15 @@ from shapeopt.cli import (
     parse_config,
 )
 from shapeopt.airfoil import EvaluatorConfig
-from shapeopt.evolution import LARGEST, EsConfig
+from shapeopt.evolution import LARGEST, MAX_POPULATION, EsConfig
 from shapeopt.ga import GaConfig, run_ga
 from shapeopt.llm import LlmConfig
-from shapeopt.problems import AirfoilProblem, AxisymDragProblem, QuadraticProblem
+from shapeopt.problems import (
+    MAX_DIMENSION,
+    AirfoilProblem,
+    AxisymDragProblem,
+    QuadraticProblem,
+)
 
 ANALYTIC = {
     "problem": "analytic_test",
@@ -185,11 +190,41 @@ REQUIRED_ARGS = {
         (AxisymDragProblem, "n_elements", 4),
         (AxisymDragProblem, "n_elements", 500),
         (AirfoilProblem, "n_free_points", 5),
+        (EsConfig, "population_size", MAX_POPULATION + 1),
+        (EsConfig, "population_size", 2**62),
+        (EvaluatorConfig, "reynolds", 1e308),
+        (EvaluatorConfig, "baseline_ratio", -1e308),
     ],
 )
 def test_owners_refuse_out_of_range_values(build, name, value):
     with pytest.raises(ValueError, match=name):
         build(**REQUIRED_ARGS.get(build, {}), **{name: value})
+
+
+def test_size_bounds_admit_their_limits():
+    assert EsConfig(budget=1, population_size=MAX_POPULATION).population_size == 10_000
+    assert QuadraticProblem(dimension=MAX_DIMENSION).bounds.dimension == 1000
+    for dimension in (0, MAX_DIMENSION + 1, 10**12):
+        with pytest.raises(ValueError, match="dimension"):
+            QuadraticProblem(dimension=dimension)
+
+
+# Each would crash or write "score": Infinity after config.json was written.
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {**ANALYTIC, "population_size": 2**62},
+        {**ANALYTIC, "dimension": 10**12},
+        {**AIRFOIL, "optimizer": "mock", "baseline_ratio": -1e308},
+    ],
+)
+def test_oversized_or_overflowing_values_exit_2_before_writing(tmp_path, capsys, doc):
+    config = write_config(tmp_path, doc)
+    out = tmp_path / "runs"
+    assert run_cli("run", "--config", config, "--out", str(out)) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_parse_config_airfoil_requires_evaluator():
@@ -986,6 +1021,8 @@ def test_load_records_rejects_corruption(tmp_path):
         json.dumps({**good, "score": None}),
         json.dumps({**good, "design": "ab"}),
         json.dumps({**good, "score": 10**400}),
+        json.dumps({**good, "score": math.inf}),  # written as Infinity
+        json.dumps({**good, "score": math.nan}),
     ):
         path.write_text(line + "\n")
         with pytest.raises(ConfigError, match="line 1"):

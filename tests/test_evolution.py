@@ -1,5 +1,7 @@
 """Core search loop: encoding, records, selection, sampling, orchestration."""
 
+import collections
+import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -360,6 +362,84 @@ def test_parallel_evaluation_matches_serial():
     with ThreadPoolExecutor(max_workers=4) as pool:
         parallel = evaluate_designs(problem, designs, 0, pool.map)
     assert [r.score for r in serial] == [r.score for r in parallel]
+
+
+class CountingProblem(QuadProblem):
+    """Counts its calls per design; each design's first ``flaky`` calls fail."""
+
+    def __init__(self, flaky=0):
+        super().__init__()
+        self.flaky = flaky
+        self.calls = collections.Counter()
+        self.lock = threading.Lock()
+
+    def evaluate(self, x):
+        with self.lock:
+            self.calls[x.tobytes()] += 1
+            n = self.calls[x.tobytes()]
+        if n <= self.flaky:
+            raise EvaluationFailed("transient failure")
+        return super().evaluate(x)
+
+
+class FixedAsk:
+    """Ask strategy that proposes the same designs every generation."""
+
+    def __init__(self, designs):
+        self.designs = np.asarray(designs, dtype=float)
+
+    def ask(self, buffer, rng, problem, config):
+        return self.designs.copy()
+
+
+def test_buffer_remembers_ok_designs_by_exact_bits():
+    buffer = RecordBuffer()
+    buffer.append_generation(
+        [
+            ScoredRecord(np.array([0.0, 1.0]), -1.0, 0),
+            ScoredRecord(np.array([0.5, 0.5]), -100.0, 0, "failed"),
+        ]
+    )
+    assert buffer.known_score(np.array([0.0, 1.0])) == -1.0
+    assert buffer.known_score(np.array([-0.0, 1.0])) is None  # other bits
+    assert buffer.known_score(np.array([0.5, 0.5])) is None  # failed
+
+
+def test_identical_designs_in_one_generation_share_one_call_on_a_pool():
+    problem = CountingProblem()
+    designs = np.array([[0.5, 0.5], [0.5, 0.5]])
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        records = evaluate_designs(problem, designs, 0, pool.map)
+    assert sum(problem.calls.values()) == 1
+    assert [r.score for r in records] == [problem.evaluate(designs[0])] * 2
+
+
+def test_failed_design_is_tried_again_and_ok_design_is_not():
+    # each design fails its first call: generation 0 fails, 1 scores, 2 remembers
+    designs = [[0.1, 0.2], [0.1, 0.2], [-0.0, 0.5], [0.0, 0.5]]
+    problem = CountingProblem(flaky=1)
+    cfg = EsConfig(budget=3, population_size=4, seed=0)
+    buffer = run_optimization(problem, FixedAsk(designs), cfg)
+    assert sorted(problem.calls.values()) == [2, 2, 2]  # -0.0 and 0.0 differ
+    assert [r.status for r in buffer.generation(0)] == ["failed"] * 4
+    assert [r.status for r in buffer.generation(1)] == ["ok"] * 4
+    assert [r.score for r in buffer.generation(2)] == [
+        r.score for r in buffer.generation(1)
+    ]
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_non_finite_score_is_a_failed_design(value):
+    class NonFinite(QuadProblem):
+        def evaluate(self, x):
+            return value
+
+    problem = NonFinite()
+    cfg = EsConfig(budget=2, population_size=2, seed=0)
+    buffer = run_optimization(problem, FixedAsk([[0.1, 0.2], [0.3, 0.4]]), cfg)
+    for record in buffer.all_records():
+        assert record.status == "failed" and record.score == problem.penalty_score
+        assert buffer.known_score(record.design) is None
 
 
 class ThreadNamingProblem(QuadProblem):

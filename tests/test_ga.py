@@ -1,9 +1,11 @@
 """Genetic algorithm operators and run loop."""
 
+import collections
+
 import numpy as np
 import pytest
 
-from shapeopt import ga
+from shapeopt import evolution, ga
 from shapeopt.evolution import (
     Bounds,
     EsConfig,
@@ -14,6 +16,7 @@ from shapeopt.evolution import (
 )
 from shapeopt.ga import GaConfig, GaSearch, ga_step, run_ga
 from shapeopt.problems import QuadraticProblem
+from shapeopt.rundir import RecordWriter, load_records
 
 BOUNDS = Bounds.uniform(3, -1.0, 1.0)
 
@@ -206,6 +209,60 @@ def test_explicit_init_range_is_honored():
     assert len(buffer) == 6
     for record in buffer.all_records():
         assert np.all(record.design >= 0.9) and np.all(record.design <= 1.0)
+
+
+class CountingQuadratic(QuadraticProblem):
+    """QuadraticProblem that counts its calls per design."""
+
+    def __post_init__(self):
+        super().__post_init__()
+        self.calls = collections.Counter()
+
+    def evaluate(self, x):
+        self.calls[x.tobytes()] += 1
+        return super().evaluate(x)
+
+
+def score_every_design(problem, designs, generation, mapper=map, buffer=None):
+    """The loop's scoring step without a memo: every design, every time."""
+    return [ScoredRecord(d, problem.evaluate(d), generation) for d in designs]
+
+
+def test_each_distinct_design_is_scored_once(tmp_path, monkeypatch):
+    config = EsConfig(budget=20, population_size=6, seed=3)
+    problem = CountingQuadratic(dimension=3)
+    memo = tmp_path / "memo.jsonl"
+    buffer = run_ga(
+        problem, GaConfig(), config, on_generation=RecordWriter(memo, problem.bounds)
+    )
+    distinct = {record.design.tobytes() for record in buffer.all_records()}
+    # every generation after the first copies the elite of the one before
+    assert len(distinct) <= len(buffer) - 19
+    assert set(problem.calls) == distinct
+    assert max(problem.calls.values()) == 1
+
+    monkeypatch.setattr(evolution, "evaluate_designs", score_every_design)
+    plain = QuadraticProblem(dimension=3)
+    every = tmp_path / "every.jsonl"
+    run_ga(plain, GaConfig(), config, on_generation=RecordWriter(every, plain.bounds))
+    assert memo.read_bytes() == every.read_bytes()
+
+
+def test_resume_scores_no_design_already_ok_on_disk(tmp_path):
+    problem = QuadraticProblem(dimension=3)
+    bounds = problem.bounds
+    config = EsConfig(budget=6, population_size=6, seed=9)
+    full, cut = tmp_path / "full.jsonl", tmp_path / "cut.jsonl"
+    run_ga(problem, GaConfig(), config, on_generation=RecordWriter(full, bounds))
+    first_two = EsConfig(budget=2, population_size=6, seed=9)
+    run_ga(problem, GaConfig(), first_two, on_generation=RecordWriter(cut, bounds))
+    on_disk = load_records(cut, 6, 3)
+    stored = {r.design.tobytes() for r in on_disk.all_records() if r.status == "ok"}
+    counting = CountingQuadratic(dimension=3)
+    writer = RecordWriter(cut, bounds, start_index=len(on_disk))
+    run_ga(counting, GaConfig(), config, initial_buffer=on_disk, on_generation=writer)
+    assert stored and not stored & set(counting.calls)
+    assert cut.read_bytes() == full.read_bytes()
 
 
 def test_generation_streams_match_search_loop_convention():
