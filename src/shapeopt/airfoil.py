@@ -156,21 +156,16 @@ def _cubic_bezier(p0, c1, c2, p3, t: np.ndarray) -> np.ndarray:
     return u**3 * p0 + 3.0 * u**2 * t * c1 + 3.0 * u * t**2 * c2 + t**3 * p3
 
 
-def build_airfoil_curve(
-    points: list[PolarControlPoint],
-    samples_per_segment: int = SAMPLES_PER_SEGMENT,
-    handle_fraction: float = HANDLE_FRACTION,
-) -> AirfoilCurve:
+def build_airfoil_curve(points: list[PolarControlPoint]) -> AirfoilCurve:
     """Closed composite curve of cubic segments through the control points.
 
     Segment i runs from point i to point i+1 (cyclically); its end tangent
     directions are the sharpness-blended chord angles, with Bézier handles
-    of length handle_fraction times the chord.
+    of length HANDLE_FRACTION times the chord, and it is sampled at
+    SAMPLES_PER_SEGMENT points after its start.
     """
     if len(points) != N_CONTROL_POINTS:
         raise ValueError(f"expected {N_CONTROL_POINTS} control points")
-    if samples_per_segment < 2:
-        raise ValueError("need at least 2 samples per segment")
     xy = np.array([pt.xy for pt in points])
     n = len(points)
     chords = np.roll(xy, -1, axis=0) - xy  # chord i: point i -> i+1
@@ -186,13 +181,13 @@ def build_airfoil_curve(
             for i in range(n)
         ]
     )
-    t = np.linspace(0.0, 1.0, samples_per_segment + 1)
+    t = np.linspace(0.0, 1.0, SAMPLES_PER_SEGMENT + 1)
     samples = [xy[0][None, :]]
     for i in range(n):
         j = (i + 1) % n
         direction_i = np.array([math.cos(tangents[i]), math.sin(tangents[i])])
         direction_j = np.array([math.cos(tangents[j]), math.sin(tangents[j])])
-        handle = handle_fraction * lengths[i]
+        handle = HANDLE_FRACTION * lengths[i]
         c1 = xy[i] + handle * direction_i
         c2 = xy[j] - handle * direction_j
         samples.append(_cubic_bezier(xy[i], c1, c2, xy[j], t)[1:])

@@ -24,8 +24,11 @@ FIXED_AREA = "fixed_area"
 
 # Below this the constrained measure is treated as degenerate.
 _MEASURE_FLOOR = 1e-12
-# Fewest samples of a profile; Simpson's rule also needs an odd count.
+# Fewest and most samples of a profile; Simpson's rule also needs an odd
+# count.  The most keeps the four profile arrays of one evaluation at
+# 3.2 MB, 125 times the default of 801 samples.
 _MIN_SAMPLES = 201
+MAX_SAMPLES = 100_001
 
 __all__ = [
     "AREA_TARGET",
@@ -34,6 +37,7 @@ __all__ = [
     "FIXED_VOLUME",
     "GeometricConstraint",
     "InvalidBodyError",
+    "MAX_SAMPLES",
     "VOLUME_TARGET",
     "check_sample_count",
     "compute_area",
@@ -154,8 +158,10 @@ def _sample_grid(n_samples: int) -> np.ndarray:
 
 def check_sample_count(n_samples: int) -> None:
     """Refuse a sample count ``integrate_profile`` cannot use."""
-    if n_samples % 2 == 0 or n_samples < _MIN_SAMPLES:
-        raise ValueError(f"n_samples must be odd and at least {_MIN_SAMPLES}")
+    if n_samples % 2 == 0 or not _MIN_SAMPLES <= n_samples <= MAX_SAMPLES:
+        raise ValueError(
+            f"n_samples must be odd and lie in [{_MIN_SAMPLES}, {MAX_SAMPLES}]"
+        )
 
 
 def integrate_profile(coeffs, n_samples: int = 801) -> BodyProfile:

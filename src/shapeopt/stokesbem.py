@@ -7,13 +7,10 @@ with complete elliptic integrals K and E in the kernel.  Both come from
 the polynomial approximations of Cephes ``ellpk`` and ``ellpe``, the ones
 ``scipy.special`` evaluates, taken in numpy from the exact ``1 - m``,
 which keeps the kernel's log singularity down to round-off separations.
-The solver loads no scipy module; only ``mesh_from_meridian`` without
-slopes imports ``scipy.interpolate``.
 The meridian between its samples is a piecewise-cubic Hermite
 interpolant (``CubicHermite``).  ``profile_to_mesh`` gives it the exact
-tangent of a tangent-angle profile; ``mesh_from_meridian`` takes the
-knot slopes of the cubic spline through the samples, which makes the
-interpolant that spline.
+tangent of a tangent-angle profile; ``mesh_from_meridian`` without
+slopes takes second-order finite differences of the samples.
 Piecewise-constant force densities are collocated at element midpoints.
 One rule table integrates every element pair: the signed gap between
 source and collocation element picks the Gauss panels and the fixed
@@ -418,8 +415,9 @@ def mesh_from_meridian(
     The samples must run from pole to pole with strictly increasing
     arclength.  Element midpoints serve as collocation points and must
     stay off the axis.  ``slopes`` are ``(dr/dl, dz/dl)`` at the samples
-    when they are known; otherwise they are the knot slopes of the cubic
-    spline through the samples.
+    when they are known; otherwise they are second-order finite
+    differences of the samples, so callers that know exact tangents
+    should pass them.
     """
     r = np.asarray(r, dtype=float)
     z = np.asarray(z, dtype=float)
@@ -437,11 +435,7 @@ def mesh_from_meridian(
     arc = arclength - arclength[0]
     points = np.stack([r, z])
     if slopes is None:
-        # Imported here: scipy.interpolate is slow to load, and the drag
-        # path (profile_to_mesh) knows its slopes.
-        from scipy.interpolate import CubicSpline
-
-        slopes = CubicSpline(arc, points, axis=1)(arc, 1)
+        slopes = np.gradient(points, arc, axis=1, edge_order=2)
     meridian = CubicHermite(arc, points, slopes)
     bounds = np.linspace(0.0, arc[-1], n_elements + 1)
     mid_r, mid_z = meridian(0.5 * (bounds[:-1] + bounds[1:]))
@@ -460,7 +454,7 @@ def profile_to_mesh(profile: BodyProfile, n_elements: int) -> BoundaryMesh:
     """Mesh a tangent-angle profile; its arclength is exactly lam*(s+1).
 
     The unit tangent at every sample is exactly ``(sin phi, cos phi)``,
-    so the interpolant needs no spline.  Odd Legendre modes make the
+    so no finite differences are needed.  Odd Legendre modes make the
     tangent angle odd in ``s`` on a grid with ``s[i] == -s[-1-i]``, so the
     body is fore-aft symmetric and the mesh is marked mirrored.
     """

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shapeopt import airfoil
 from shapeopt.airfoil import (
     FAILURE_REWARD,
     N_CONTROL_POINTS,
@@ -108,14 +109,15 @@ def test_tangent_weight_validation():
 # ----------------------------------------------------------------- sampling
 
 def test_curve_sample_count_and_closure():
-    curve = build_airfoil_curve(centered_points(), samples_per_segment=32)
+    curve = build_airfoil_curve(centered_points())
     assert curve.points.shape == (4 * 32 + 1, 2)
     assert np.array_equal(curve.points[0], curve.points[-1])
 
 
-def test_curve_interpolates_control_points():
+def test_curve_interpolates_control_points(monkeypatch):
+    monkeypatch.setattr(airfoil, "SAMPLES_PER_SEGMENT", 10)
     points = centered_points()
-    curve = build_airfoil_curve(points, samples_per_segment=10)
+    curve = build_airfoil_curve(points)
     for i, pt in enumerate(points):
         assert np.allclose(curve.points[10 * i], pt.xy, atol=1e-12)
 
@@ -130,16 +132,15 @@ def test_coincident_control_points_rejected():
 def test_curve_validation():
     with pytest.raises(ValueError):
         build_airfoil_curve(centered_points()[:3])
-    with pytest.raises(ValueError):
-        build_airfoil_curve(centered_points(), samples_per_segment=1)
     with pytest.raises(ValueError, match="close"):
         AirfoilCurve(np.array([[0.0, 0.0], [1.0, 0.0]]))
 
 
-def test_full_sharpness_aligns_tangent_with_incoming_chord():
+def test_full_sharpness_aligns_tangent_with_incoming_chord(monkeypatch):
     # at sharpness 1 the curve leaves point i along the chord arriving there
+    monkeypatch.setattr(airfoil, "SAMPLES_PER_SEGMENT", 200)
     points = centered_points({1: (0.0, 0.0, 1.0)})
-    curve = build_airfoil_curve(points, samples_per_segment=200)
+    curve = build_airfoil_curve(points)
     start = points[1].xy
     step = curve.points[201] - start
     chord_in = start - points[0].xy
@@ -196,7 +197,8 @@ def test_frozen_crossing_fixture():
         assert not is_simple(build_airfoil_curve(points))
 
 
-def test_random_design_simple_rate():
+def test_random_design_simple_rate(monkeypatch):
+    monkeypatch.setattr(airfoil, "SAMPLES_PER_SEGMENT", 16)
     rng = np.random.default_rng(42)
     simple = 0
     for _ in range(100):
@@ -205,7 +207,7 @@ def test_random_design_simple_rate():
             params_to_polar(vals[3 * i], vals[3 * i + 1], vals[3 * i + 2], i)
             for i in range(4)
         ]
-        simple += is_simple(build_airfoil_curve(points, samples_per_segment=16))
+        simple += is_simple(build_airfoil_curve(points))
     assert simple == 85
 
 
@@ -227,8 +229,9 @@ def test_reward_monotone(a, b):
 
 # ------------------------------------------------------------------ file io
 
-def test_geometry_file_format(tmp_path):
-    curve = build_airfoil_curve(centered_points(), samples_per_segment=4)
+def test_geometry_file_format(tmp_path, monkeypatch):
+    monkeypatch.setattr(airfoil, "SAMPLES_PER_SEGMENT", 4)
+    curve = build_airfoil_curve(centered_points())
     path = tmp_path / "geometry.txt"
     write_geometry_file(path, curve)
     lines = path.read_text().splitlines()

@@ -7,6 +7,7 @@ import pytest
 
 from shapeopt.axisym import (
     AREA_TARGET,
+    MAX_SAMPLES,
     VOLUME_TARGET,
     BodyProfile,
     GeometricConstraint,
@@ -127,6 +128,8 @@ def test_profile_grid_and_shape_checks():
         integrate_profile(SPHERE, n_samples=800)  # even
     with pytest.raises(ValueError):
         integrate_profile(SPHERE, n_samples=101)  # too coarse
+    with pytest.raises(ValueError, match=str(MAX_SAMPLES)):
+        integrate_profile(SPHERE, n_samples=MAX_SAMPLES + 2)  # refused before any array
     profile = integrate_profile(SPHERE, n_samples=201)
     assert profile.s[0] == -1.0 and profile.s[-1] == 1.0
     assert profile.r[0] == 0.0

@@ -1,5 +1,6 @@
 """Config validation, run artifacts, resume, compare, sweep, evaluate, exits."""
 
+import ast
 import contextlib
 import io
 import json
@@ -18,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shapeopt import cli, rundir
+from shapeopt.axisym import MAX_SAMPLES
 from shapeopt.cli import (
     EXIT_CONFIG,
     EXIT_EVALUATOR,
@@ -31,7 +33,7 @@ from shapeopt.cli import (
     main,
     parse_config,
 )
-from shapeopt.airfoil import EvaluatorConfig
+from shapeopt.airfoil import N_CONTROL_POINTS, EvaluatorConfig
 from shapeopt.evolution import LARGEST, MAX_POPULATION, EsConfig
 from shapeopt.ga import GaConfig, run_ga
 from shapeopt.llm import LlmConfig
@@ -41,6 +43,7 @@ from shapeopt.problems import (
     AxisymDragProblem,
     QuadraticProblem,
 )
+from shapeopt.stokesbem import MAX_ELEMENTS
 
 ANALYTIC = {
     "problem": "analytic_test",
@@ -194,6 +197,7 @@ REQUIRED_ARGS = {
         (EsConfig, "population_size", 2**62),
         (EvaluatorConfig, "reynolds", 1e308),
         (EvaluatorConfig, "baseline_ratio", -1e308),
+        (AxisymDragProblem, "n_samples", MAX_SAMPLES + 2),
     ],
 )
 def test_owners_refuse_out_of_range_values(build, name, value):
@@ -204,6 +208,7 @@ def test_owners_refuse_out_of_range_values(build, name, value):
 def test_size_bounds_admit_their_limits():
     assert EsConfig(budget=1, population_size=MAX_POPULATION).population_size == 10_000
     assert QuadraticProblem(dimension=MAX_DIMENSION).bounds.dimension == 1000
+    assert AxisymDragProblem(n_samples=MAX_SAMPLES).n_samples == 100_001
     for dimension in (0, MAX_DIMENSION + 1, 10**12):
         with pytest.raises(ValueError, match="dimension"):
             QuadraticProblem(dimension=dimension)
@@ -216,6 +221,8 @@ def test_size_bounds_admit_their_limits():
         {**ANALYTIC, "population_size": 2**62},
         {**ANALYTIC, "dimension": 10**12},
         {**AIRFOIL, "optimizer": "mock", "baseline_ratio": -1e308},
+        {"problem": "axisym_volume", "optimizer": "mock", "budget": 1,
+         "population_size": 1, "n_samples": 2**62 + 1},
     ],
 )
 def test_oversized_or_overflowing_values_exit_2_before_writing(tmp_path, capsys, doc):
@@ -398,14 +405,20 @@ def test_main_run_exits_0_or_2_without_traceback(doc, blocked):
         assert err.getvalue().count("\n") == 1
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_runs_at_the_largest_scales_do_not_overflow(tmp_path):
+def write_flow_stub(tmp_path):
+    """An evaluator command whose every design has lift-to-drag ratio 0.5."""
     stub = tmp_path / "stub.py"
     stub.write_text(
         "import json, sys\n"
         "out = sys.argv[sys.argv.index('--out') + 1]\n"
         "json.dump({'lift': 1.0, 'drag': 2.0, 'ratio': 0.5}, open(out, 'w'))\n"
     )
+    return [sys.executable, str(stub)]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_runs_at_the_largest_scales_do_not_overflow(tmp_path):
+    stub = write_flow_stub(tmp_path)
     big = LARGEST
     docs = [
         {**ANALYTIC, "target": [big, -big]},
@@ -419,7 +432,7 @@ def test_runs_at_the_largest_scales_do_not_overflow(tmp_path):
             "n_F": 2,
             "reynolds": big,
             "baseline_ratio": -big,
-            "evaluator_command": [sys.executable, str(stub)],
+            "evaluator_command": stub,
         },
     ]
     for n, doc in enumerate(docs):
@@ -476,6 +489,106 @@ def test_main_run_refuses_or_runs_special_numbers(doc):
     if code == EXIT_CONFIG:
         assert err.getvalue().startswith("config error: ")
         assert err.getvalue().count("\n") == 1
+
+
+# Edge values for every integer and number key, with the odd neighbours of
+# the two large powers, which keys that refuse even counts would never meet.
+EDGE_VALUES = (-1, 0, 1, 2**31, 2**31 + 1, 2**62, 2**62 + 1, 1e308, -1e308, 5e-324)
+EDGES = st.sampled_from(EDGE_VALUES)
+# Keys that size what one evaluation allocates, with the largest value
+# their owners accept.
+SIZE_LIMITS = {
+    "K": 8, "n_samples": MAX_SAMPLES, "n_elements": MAX_ELEMENTS, "n_F": N_CONTROL_POINTS,
+}
+
+
+def draw_keys(draw, doc, names):
+    """Set up to two of ``names`` to edge values; the rest keep their defaults."""
+    for name in draw(st.lists(st.sampled_from(names), max_size=2, unique=True)):
+        value = draw(st.lists(EDGES, min_size=3, max_size=3)) if name == "target" else draw(EDGES)
+        if name == "seeds":
+            value = [value]
+        block, _, key = name.rpartition(".")
+        (doc.setdefault(block, {}) if block else doc)[key] = value
+
+
+def refuse_constant(text):
+    raise ValueError(f"non-standard JSON constant {text}")
+
+
+@st.composite
+def analytic_edge_docs(draw):
+    # population_size and max_workers stay small: a run at an edge value
+    # would allocate that many designs or start that many threads.
+    budget = st.sampled_from([1, 2]) | st.sampled_from([v for v in EDGE_VALUES if v <= 2])
+    doc = {"problem": "analytic_test", "optimizer": draw(st.sampled_from(["mock", "ga"])),
+           "population_size": 2, "budget": draw(budget)}
+    draw_keys(draw, doc, ["n_ini", "seeds", "dimension", "target",
+                          "ga.blend_alpha", "ga.mutation_sigma"])
+    return doc
+
+
+@settings(max_examples=100, deadline=None)
+@given(doc=analytic_edge_docs())
+def test_runs_at_edge_values_exit_0_or_2_and_write_strict_json(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "runs"
+        doc["output_dir"] = str(out)
+        config = Path(tmp) / "config.json"
+        config.write_text(json.dumps(doc))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["run", "--config", str(config)])
+        assert code in (EXIT_OK, EXIT_CONFIG), err.getvalue()
+        if code == EXIT_CONFIG:
+            assert err.getvalue().startswith("config error: ")
+            assert err.getvalue().count("\n") == 1
+            assert not out.exists()
+            return
+        outputs = [*out.rglob("*.json"), *out.rglob("*.jsonl")]
+        assert {path.name for path in outputs} >= {"config.json", "summary.json", "records.jsonl"}
+        for path in outputs:
+            for line in path.read_text().splitlines() if path.suffix == ".jsonl" else [path.read_text()]:
+                json.loads(line, parse_constant=refuse_constant)
+
+
+@st.composite
+def parse_only_edge_docs(draw):
+    problem = draw(st.sampled_from(["axisym_volume", "axisym_area", "airfoil"]))
+    optimizer = draw(st.sampled_from(["mock", "ga", "llm"]))
+    doc = {"problem": problem, "optimizer": optimizer, "llm": dict(LLM_BLOCK)}
+    if problem == "airfoil":
+        doc["evaluator_command"] = ["solver"]
+        names = ["n_F", "reynolds", "baseline_ratio", "evaluator_timeout"]
+    else:
+        names = ["K", "n_samples", "n_elements"]
+    draw_keys(draw, doc, ["budget", "n_ini", *names, "llm.max_retries", "llm.timeout",
+                          "ga.blend_alpha", "ga.mutation_sigma"])
+    return doc
+
+
+@settings(max_examples=150, deadline=None)
+@given(doc=parse_only_edge_docs())
+def test_drag_airfoil_and_llm_keys_at_edge_values_parse_or_refuse(doc):
+    # Checked without a run: a drag or airfoil run at an edge value that
+    # parses would take long, and an llm run needs an endpoint.
+    try:
+        settings = parse_config(doc)
+    except ConfigError:
+        return
+    json.dumps(settings, allow_nan=False)
+    for name, limit in SIZE_LIMITS.items():
+        assert settings.get(name, 0) <= limit, name
+
+
+@settings(max_examples=100, deadline=None)
+@given(population=EDGES, workers=EDGES)
+def test_es_config_at_edge_values_builds_or_refuses(population, workers):
+    try:
+        config = EsConfig(budget=1, population_size=population, max_workers=workers)
+    except ValueError:
+        return
+    assert 1 <= config.population_size <= MAX_POPULATION and config.max_workers >= 1
 
 
 def test_load_config_errors(tmp_path):
@@ -877,6 +990,63 @@ assert not scipy_modules(), scipy_modules()
     assert (tmp_path / "run" / "seed_0" / "records.jsonl").exists()
     assert json.loads((tmp_path / "report.json").read_text())["status"] == "ok"
     assert (tmp_path / "tractions.csv").exists()
+
+
+def imported_roots(tree):
+    """Top-level package of every import in a module, nested ones included."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module.split(".")[0]
+
+
+def test_no_module_of_the_package_imports_scipy():
+    package = Path(cli.__file__).parent
+    modules = sorted(package.glob("*.py"))
+    assert len(modules) > 5
+    for path in modules:
+        assert "scipy" not in set(imported_roots(ast.parse(path.read_text()))), path.name
+
+
+# A meta-path finder that fails every scipy import, as on an install
+# without scipy.
+REFUSE_SCIPY = """
+import sys
+class RefuseScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ModuleNotFoundError(f"no module named {name!r}", name=name)
+sys.meta_path.insert(0, RefuseScipy())
+"""
+
+
+def test_runs_evaluations_and_meshes_need_no_scipy(tmp_path):
+    stub = write_flow_stub(tmp_path)
+    docs = {
+        "analytic": ({**ANALYTIC, "budget": 2}, "0.1,0.2"),
+        "drag": ({**AXISYM_TINY, "n_elements": 24}, "-1.5708"),
+        "airfoil": ({**AIRFOIL, "optimizer": "mock", "budget": 2, "population_size": 2,
+                     "n_ini": 1, "n_F": 2, "evaluator_command": stub}, "0,0,0,0,0,0"),
+    }
+    calls = []
+    for name, (doc, design) in docs.items():
+        config = write_config(tmp_path, {**doc, "output_dir": str(tmp_path / name)}, f"{name}.json")
+        calls.append(["run", "--config", config])
+        calls.append(["evaluate", "--config", config, f"--design={design}"])
+    run_python(REFUSE_SCIPY + f"""
+import numpy as np
+from shapeopt.cli import main
+from shapeopt.stokesbem import mesh_from_meridian, solve_drag
+for argv in {calls!r}:
+    assert main(argv) == 0, argv
+theta = np.linspace(0.0, np.pi, 101)
+assert solve_drag(mesh_from_meridian(np.sin(theta), -np.cos(theta), theta, 24)).drag > 0
+loaded = [name for name in sys.modules if name.split(".")[0] == "scipy"]
+assert not loaded, loaded
+""")
+    for name in docs:
+        assert (tmp_path / name / "seed_0" / "summary.json").exists()
 
 
 def test_killed_runs_resume_to_the_uninterrupted_bytes(tmp_path):
