@@ -32,7 +32,7 @@ from .evolution import (
     run_optimization,
 )
 from .ga import GaConfig, GaSearch
-from .llm import LlmConfig, LlmProposer, MockProposer, no_audit
+from .llm import LlmConfig, LlmProposer, MockProposer
 from .problems import AirfoilProblem, AxisymDragProblem, QuadraticProblem
 # RecordWriter and load_records stay reachable here: benchmark hooks patch them on cli.
 from .rundir import ConfigError, RecordWriter, fits, load_records, require  # noqa: F401
@@ -139,9 +139,10 @@ def parse_config(raw: dict) -> dict:
     Returns the run's settings: every row that applies to the problem, in
     table order, then the block of the optimizer that has one ("llm" or
     "ga").  With ``seeds`` narrowed to one seed this is the ``config.json``
-    that replays it.  The objects a run builds from the settings are built
+    that replays it.  The configs a run builds from the settings are built
     here, an EsConfig for every seed, so their range checks surface as
-    ConfigError before anything is written.
+    ConfigError before anything is written.  The chat client is not: only
+    a run builds it (see ``run_single_seed``).
     """
     try:
         settings = _read_block(raw, "")
@@ -150,9 +151,10 @@ def parse_config(raw: dict) -> dict:
         block = settings["optimizer"]
         if block in ("llm", "ga"):
             settings[block] = _read_block(raw.get(block, {}), block)
+            (LlmConfig if block == "llm" else GaConfig)(**settings[block])
         for seed in seeds:
             _es_config(settings, seed)
-        _strategy(settings, make_problem(settings), no_audit)
+        make_problem(settings)
     except ConfigError:
         raise
     except (ValueError, TypeError, OverflowError) as exc:
@@ -219,10 +221,14 @@ def run_single_seed(settings: dict, seed: int, resume: bool) -> Path:
     run_dir = Path(settings["output_dir"]) / f"seed_{seed}"
     problem = make_problem(settings)
     snapshot = {**settings, "seeds": [seed]}
+    try:
+        strategy = _strategy(settings, problem, rundir.audit_log(run_dir))
+    except ValueError as exc:  # the chat client refuses the API key
+        raise ConfigError(str(exc)) from exc
     buffer, writer = rundir.open_run(run_dir, snapshot, problem.bounds, resume)
     buffer = run_optimization(
         problem,
-        _strategy(settings, problem, rundir.audit_log(run_dir)),
+        strategy,
         _es_config(settings, seed),
         initial_buffer=buffer,
         on_generation=writer,

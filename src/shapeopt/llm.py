@@ -10,10 +10,12 @@ gives the pipeline plausible convergence behavior without a network.
 
 from __future__ import annotations
 
+import json
 import os
 import re
 from dataclasses import dataclass
 from typing import Callable, Sequence
+from urllib.parse import urlsplit
 
 import numpy as np
 
@@ -47,6 +49,13 @@ SYSTEM_PROMPT = (
     " propose the mean design vector for the next sampling round."
 )
 
+# Each parse retry resends the bad reply and a format reminder, so the last
+# request of a proposal carries two more messages per retry than the first.
+MAX_RETRIES = 20
+
+# Printable ASCII without spaces: what the request line and the bearer
+# token may carry.
+_PRINTABLE = re.compile(r"[!-~]+")
 _VECTOR_RE = re.compile(r"\[\s*[+-]?\d+(?:\s*,\s*[+-]?\d+)*\s*\]")
 
 
@@ -56,6 +65,18 @@ class ResponseParseError(ValueError):
 
 class TransportError(RuntimeError):
     """The request never produced a reply (network, HTTP, or body shape)."""
+
+
+def _is_http_url(text: str) -> bool:
+    """Whether the transport can send to ``text``: http(s), a host, a valid port."""
+    if not _PRINTABLE.fullmatch(text):
+        return False
+    try:
+        url = urlsplit(text)
+        url.port  # raises on a port that is not a number in 0..65535
+    except ValueError:
+        return False
+    return url.scheme in ("http", "https") and bool(url.hostname)
 
 
 @dataclass
@@ -69,8 +90,13 @@ class LlmConfig:
     api_key_env: str = "SHAPEOPT_API_KEY"
 
     def __post_init__(self) -> None:
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be non-negative")
+        if not _is_http_url(self.endpoint):
+            raise ValueError(
+                "endpoint must be an http or https URL with a host, in printable"
+                f" ASCII without spaces, got {self.endpoint!r}"
+            )
+        if not 0 <= self.max_retries <= MAX_RETRIES:
+            raise ValueError(f"max_retries must lie in [0, {MAX_RETRIES}]")
         if not 0.0 < self.timeout <= DAY:
             raise ValueError(f"timeout must lie in (0, {DAY:g}] seconds")
 
@@ -184,24 +210,49 @@ def _extract_text(body: object) -> str:
 
 
 def _http_transport(cfg: LlmConfig) -> Callable[[dict], str]:
-    def send(payload: dict) -> str:
-        # Imported here: only runs that call an endpoint pay for loading it.
-        import requests
+    """A sender that POSTs each payload to the endpoint and returns the reply text.
 
-        headers = {"Content-Type": "application/json"}
-        key = os.environ.get(cfg.api_key_env, "")
-        if key:
-            headers["Authorization"] = f"Bearer {key}"
+    Every request opens its own connection (urllib sends ``Connection:
+    close``).  Keep-alive would let a server that writes the headers and the
+    body as two segments without TCP_NODELAY, as ``http.server`` does, stall
+    every reply on a delayed ACK of about 40 ms.  Proxies come from the
+    ``*_proxy`` environment variables and TLS checks the system CA store.
+    The API key is read from the environment once, here.
+    """
+    # Imported here: only runs that call an endpoint pay for loading them.
+    import http.client
+    import urllib.error
+    import urllib.request
+
+    from . import __version__
+
+    opener = urllib.request.build_opener()
+    headers = {
+        "Content-Type": "application/json",
+        "User-Agent": f"shapeopt/{__version__}",
+    }
+    key = os.environ.get(cfg.api_key_env, "")
+    if key:
+        if not _PRINTABLE.fullmatch(key):  # the message must not quote the key
+            raise ValueError(f"${cfg.api_key_env} must be printable ASCII without spaces")
+        headers["Authorization"] = f"Bearer {key}"
+
+    def send(payload: dict) -> str:
+        request = urllib.request.Request(
+            cfg.endpoint, data=json.dumps(payload).encode(), headers=headers
+        )
         try:
-            response = requests.post(
-                cfg.endpoint, json=payload, headers=headers, timeout=cfg.timeout
-            )
-            response.raise_for_status()
-            body = response.json()
-        except requests.JSONDecodeError as exc:  # also a RequestException
-            raise TransportError(f"response is not JSON: {exc}") from exc
-        except requests.RequestException as exc:
+            with opener.open(request, timeout=cfg.timeout) as response:
+                raw = response.read()
+        except urllib.error.HTTPError as exc:
+            exc.close()
+            raise TransportError(f"request failed: HTTP {exc.code} {exc.reason}") from exc
+        except (OSError, http.client.HTTPException) as exc:  # URLError is an OSError
             raise TransportError(f"request failed: {exc}") from exc
+        try:
+            body = json.loads(raw)
+        except ValueError as exc:  # also a bad UTF-8 body
+            raise TransportError(f"response is not JSON: {exc}") from exc
         return _extract_text(body)
 
     return send
@@ -214,7 +265,7 @@ def no_audit(entry: dict) -> None:
 def propose_mean_via_llm(
     bundle: PromptBundle,
     cfg: LlmConfig,
-    transport: Callable[[dict], str] | None = None,
+    transport: Callable[[dict], str],
     audit: Callable[[dict], None] = no_audit,
 ) -> np.ndarray:
     """One proposal with retries; returns the parsed integer mean.
@@ -225,8 +276,6 @@ def propose_mean_via_llm(
     (max_retries + 1 in total) before the proposer gives up.  ``audit``
     gets one entry per attempt.
     """
-    if transport is None:
-        transport = _http_transport(cfg)
     messages = [
         {"role": "system", "content": SYSTEM_PROMPT},
         {"role": "user", "content": bundle.text},
@@ -296,6 +345,10 @@ class LlmProposer:
     objective: str
     transport: Callable[[dict], str] | None = None
     audit: Callable[[dict], None] = no_audit
+
+    def __post_init__(self) -> None:
+        if self.transport is None:
+            self.transport = _http_transport(self.config)
 
     def propose(self, records: Sequence[ScoredRecord], bounds: Bounds) -> np.ndarray:
         bundle = build_prompt(records, bounds, self.objective)

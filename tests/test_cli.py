@@ -36,7 +36,7 @@ from shapeopt.cli import (
 from shapeopt.airfoil import N_CONTROL_POINTS, EvaluatorConfig
 from shapeopt.evolution import LARGEST, MAX_POPULATION, EsConfig
 from shapeopt.ga import GaConfig, run_ga
-from shapeopt.llm import LlmConfig
+from shapeopt.llm import MAX_RETRIES, LlmConfig
 from shapeopt.problems import (
     MAX_DIMENSION,
     AirfoilProblem,
@@ -198,17 +198,20 @@ REQUIRED_ARGS = {
         (EvaluatorConfig, "reynolds", 1e308),
         (EvaluatorConfig, "baseline_ratio", -1e308),
         (AxisymDragProblem, "n_samples", MAX_SAMPLES + 2),
+        (LlmConfig, "max_retries", MAX_RETRIES + 1),
+        (LlmConfig, "endpoint", "ftp://127.0.0.1/x"),
     ],
 )
 def test_owners_refuse_out_of_range_values(build, name, value):
     with pytest.raises(ValueError, match=name):
-        build(**REQUIRED_ARGS.get(build, {}), **{name: value})
+        build(**{**REQUIRED_ARGS.get(build, {}), name: value})
 
 
 def test_size_bounds_admit_their_limits():
     assert EsConfig(budget=1, population_size=MAX_POPULATION).population_size == 10_000
     assert QuadraticProblem(dimension=MAX_DIMENSION).bounds.dimension == 1000
     assert AxisymDragProblem(n_samples=MAX_SAMPLES).n_samples == 100_001
+    assert LlmConfig(**LLM_BLOCK, max_retries=MAX_RETRIES).max_retries == 20
     for dimension in (0, MAX_DIMENSION + 1, 10**12):
         with pytest.raises(ValueError, match="dimension"):
             QuadraticProblem(dimension=dimension)
@@ -223,6 +226,15 @@ def test_size_bounds_admit_their_limits():
         {**AIRFOIL, "optimizer": "mock", "baseline_ratio": -1e308},
         {"problem": "axisym_volume", "optimizer": "mock", "budget": 1,
          "population_size": 1, "n_samples": 2**62 + 1},
+        # An endpoint the transport cannot send to, or one that would reach
+        # another protocol, and a retry count whose requests grow unbounded.
+        # One generation, so a run that slipped through would ask nothing.
+        *({**ANALYTIC, "budget": 1, "optimizer": "llm", "llm": llm} for llm in (
+            {**LLM_BLOCK, "endpoint": "foo"},
+            {**LLM_BLOCK, "endpoint": "ftp://127.0.0.1/x"},
+            {**LLM_BLOCK, "endpoint": "file:///etc/passwd"},
+            {"endpoint": "http://127.0.0.1:9/v1", "model": "m", "max_retries": 2**62},
+        )),
     ],
 )
 def test_oversized_or_overflowing_values_exit_2_before_writing(tmp_path, capsys, doc):
@@ -231,6 +243,16 @@ def test_oversized_or_overflowing_values_exit_2_before_writing(tmp_path, capsys,
     assert run_cli("run", "--config", config, "--out", str(out)) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_api_key_no_header_can_carry_exits_2_before_writing(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("SHAPEOPT_API_KEY", "sk-unit\n")
+    doc = {**ANALYTIC, "budget": 1, "optimizer": "llm", "llm": LLM_BLOCK}
+    out = tmp_path / "runs"
+    assert run_cli("run", "--config", write_config(tmp_path, doc), "--out", str(out)) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == "config error: $SHAPEOPT_API_KEY must be printable ASCII without spaces\n"
     assert not out.exists()
 
 
@@ -946,9 +968,26 @@ def test_run_without_llm_does_not_import_requests(tmp_path):
 import sys
 from shapeopt.cli import main
 assert main(["run", "--config", {config!r}]) == 0
-assert "requests" not in sys.modules, "a mock run imported requests"
+loaded = [name for name in ("requests", "urllib.request", "ssl") if name in sys.modules]
+assert not loaded, f"a mock run imported {{loaded}}"
 """)
     assert (tmp_path / "run" / "seed_0" / "records.jsonl").exists()
+
+
+def test_evaluate_on_an_llm_config_neither_builds_the_chat_client_nor_reads_the_key(
+    tmp_path, monkeypatch
+):
+    # Scoring one design never asks the model, so a key that a run refuses
+    # does not stop it either.
+    monkeypatch.setenv("SHAPEOPT_API_KEY", "sk-unit\n")
+    config = write_config(tmp_path, {**ANALYTIC, "optimizer": "llm", "llm": LLM_BLOCK})
+    run_python(f"""
+import sys
+from shapeopt.cli import main
+assert main(["evaluate", "--config", {config!r}, "--design=0.1,0.2"]) == 0
+loaded = [name for name in ("urllib.request", "ssl") if name in sys.modules]
+assert not loaded, f"evaluate imported {{loaded}}"
+""")
 
 
 SCIPY_MODULES = """
@@ -1001,40 +1040,43 @@ def imported_roots(tree):
             yield node.module.split(".")[0]
 
 
-def test_no_module_of_the_package_imports_scipy():
+def test_no_module_of_the_package_imports_scipy_or_requests():
     package = Path(cli.__file__).parent
     modules = sorted(package.glob("*.py"))
     assert len(modules) > 5
     for path in modules:
-        assert "scipy" not in set(imported_roots(ast.parse(path.read_text()))), path.name
+        roots = set(imported_roots(ast.parse(path.read_text())))
+        assert not roots & {"scipy", "requests"}, path.name
 
 
-# A meta-path finder that fails every scipy import, as on an install
-# without scipy.
-REFUSE_SCIPY = """
+# A meta-path finder that fails every scipy and requests import, as on an
+# install of the runtime dependencies only.
+REFUSE_TEST_ONLY = """
 import sys
-class RefuseScipy:
+class RefuseTestOnly:
     def find_spec(self, name, path=None, target=None):
-        if name.split(".")[0] == "scipy":
+        if name.split(".")[0] in ("scipy", "requests"):
             raise ModuleNotFoundError(f"no module named {name!r}", name=name)
-sys.meta_path.insert(0, RefuseScipy())
+sys.meta_path.insert(0, RefuseTestOnly())
 """
 
 
-def test_runs_evaluations_and_meshes_need_no_scipy(tmp_path):
+def test_runs_evaluations_and_meshes_need_no_scipy_or_requests(tmp_path, local_endpoint):
     stub = write_flow_stub(tmp_path)
     docs = {
         "analytic": ({**ANALYTIC, "budget": 2}, "0.1,0.2"),
         "drag": ({**AXISYM_TINY, "n_elements": 24}, "-1.5708"),
         "airfoil": ({**AIRFOIL, "optimizer": "mock", "budget": 2, "population_size": 2,
                      "n_ini": 1, "n_F": 2, "evaluator_command": stub}, "0,0,0,0,0,0"),
+        "llm": ({**ANALYTIC, "optimizer": "llm", "budget": 3,
+                 "llm": {"endpoint": local_endpoint, "model": "m"}}, "0.1,0.2"),
     }
     calls = []
     for name, (doc, design) in docs.items():
         config = write_config(tmp_path, {**doc, "output_dir": str(tmp_path / name)}, f"{name}.json")
         calls.append(["run", "--config", config])
         calls.append(["evaluate", "--config", config, f"--design={design}"])
-    run_python(REFUSE_SCIPY + f"""
+    run_python(REFUSE_TEST_ONLY + f"""
 import numpy as np
 from shapeopt.cli import main
 from shapeopt.stokesbem import mesh_from_meridian, solve_drag
@@ -1042,11 +1084,13 @@ for argv in {calls!r}:
     assert main(argv) == 0, argv
 theta = np.linspace(0.0, np.pi, 101)
 assert solve_drag(mesh_from_meridian(np.sin(theta), -np.cos(theta), theta, 24)).drag > 0
-loaded = [name for name in sys.modules if name.split(".")[0] == "scipy"]
+loaded = [name for name in sys.modules if name.split(".")[0] in ("scipy", "requests")]
 assert not loaded, loaded
 """)
     for name in docs:
         assert (tmp_path / name / "seed_0" / "summary.json").exists()
+    audit = (tmp_path / "llm" / "seed_0" / "llm_audit.jsonl").read_text().splitlines()
+    assert [json.loads(line)["parsed"] for line in audit] == [[42, 24], [42, 24]]
 
 
 def test_killed_runs_resume_to_the_uninterrupted_bytes(tmp_path):

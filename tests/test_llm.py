@@ -1,18 +1,20 @@
 """Prompt rendering, reply parsing, retry policy, and the offline proposer."""
 
-import http.server
+import gc
 import json
 import math
-import threading
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import shapeopt
 from shapeopt import cli
 from shapeopt.evolution import Bounds, ProposerError, ScoredRecord, decode_design
 from shapeopt.llm import (
+    MAX_RETRIES,
     SYSTEM_PROMPT,
     LlmConfig,
     LlmProposer,
@@ -33,12 +35,6 @@ BOUNDS2 = Bounds.uniform(2, -1.0, 1.0)
 
 def record(design, score):
     return ScoredRecord(np.asarray(design, dtype=float), score, 0)
-
-
-def reply(text):
-    return json.dumps(
-        {"choices": [{"message": {"role": "assistant", "content": text}}]}
-    )
 
 
 # ------------------------------------------------------------------ prompt
@@ -316,6 +312,50 @@ def test_config_rejects_negative_retries():
         make_config(max_retries=-1)
 
 
+def test_config_bounds_retries():
+    assert make_config(max_retries=MAX_RETRIES).max_retries == MAX_RETRIES
+    for retries in (MAX_RETRIES + 1, 2**62):
+        with pytest.raises(ValueError, match="max_retries"):
+            make_config(max_retries=retries)
+
+
+@pytest.mark.parametrize(
+    "endpoint",
+    [
+        "http://x/v1",
+        "https://api.example.com/v1/chat/completions",
+        "HTTP://127.0.0.1:8080/v1?key=a%20b",
+        "http://[::1]:8080/v1",
+    ],
+)
+def test_config_accepts_http_urls(endpoint):
+    assert LlmConfig(endpoint=endpoint, model="m").endpoint == endpoint
+
+
+@pytest.mark.parametrize(
+    "endpoint",
+    [
+        "foo",
+        "",
+        "ftp://127.0.0.1/x",
+        "file:///etc/passwd",
+        "127.0.0.1:8080/v1",
+        "http://",
+        "http:///v1",
+        "http://:8080/v1",
+        "http://x:99999/v1",
+        "http://x:port/v1",
+        "http://[::1/v1",
+        "http://x/chat completions",
+        "http://x/v1\n",
+        "http://x/d\u00e9mo",
+    ],
+)
+def test_config_refuses_what_the_transport_cannot_send(endpoint):
+    with pytest.raises(ValueError, match="endpoint must be an http or https URL"):
+        LlmConfig(endpoint=endpoint, model="m")
+
+
 def test_llm_proposer_end_to_end():
     transport = ScriptedTransport(["[750, 250]"])
     proposer = LlmProposer(make_config(), "maximize reward", transport=transport)
@@ -369,55 +409,70 @@ def test_extract_text_refuses_other_shapes(body, message):
 
 # ----------------------------------------------------------- http transport
 
-class _Handler(http.server.BaseHTTPRequestHandler):
-    seen = []
-    answer = reply("[42, 24]").encode()
-
-    def do_POST(self):
-        length = int(self.headers["Content-Length"])
-        body = json.loads(self.rfile.read(length))
-        type(self).seen.append(
-            {"auth": self.headers.get("Authorization"), "body": body}
-        )
-        out = type(self).answer
-        self.send_response(200)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(out)))
-        self.end_headers()
-        self.wfile.write(out)
-
-    def log_message(self, *args):
-        pass
+PAYLOAD = {
+    "model": "m",
+    "temperature": 0.0,
+    "messages": [
+        {"role": "system", "content": SYSTEM_PROMPT},
+        {"role": "user", "content": 'values: [0, 1000], score: -0.5\n"quoted" \u00e9'},
+    ],
+}
 
 
-@pytest.fixture
-def local_endpoint():
-    server = http.server.HTTPServer(("127.0.0.1", 0), _Handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    _Handler.seen = []
-    yield f"http://127.0.0.1:{server.server_address[1]}/v1/chat/completions"
-    server.shutdown()
-    server.server_close()
-    thread.join()
-
-
-def test_http_transport_round_trip(local_endpoint, monkeypatch):
+def test_http_transport_round_trip(local_endpoint, chat_handler, monkeypatch):
     monkeypatch.setenv("SHAPEOPT_API_KEY", "sk-unit-test")
     cfg = LlmConfig(endpoint=local_endpoint, model="m")
-    mean = propose_mean_via_llm(make_bundle(), cfg)
+    mean = propose_mean_via_llm(make_bundle(), cfg, _http_transport(cfg))
     assert np.array_equal(mean, [42, 24])
-    seen = _Handler.seen[0]
+    seen = chat_handler.seen[0]
     assert seen["auth"] == "Bearer sk-unit-test"
     assert seen["body"]["temperature"] == 0.0
     assert seen["body"]["messages"][0]["role"] == "system"
 
 
-def test_http_transport_no_key_sends_no_auth_header(local_endpoint, monkeypatch):
+def test_http_transport_no_key_sends_no_auth_header(local_endpoint, chat_handler, monkeypatch):
     monkeypatch.delenv("SHAPEOPT_API_KEY", raising=False)
     cfg = LlmConfig(endpoint=local_endpoint, model="m")
-    propose_mean_via_llm(make_bundle(), cfg)
-    assert _Handler.seen[0]["auth"] is None
+    propose_mean_via_llm(make_bundle(), cfg, _http_transport(cfg))
+    assert chat_handler.seen[0]["auth"] is None
+
+
+def test_http_transport_sends_the_payload_as_json_with_its_user_agent(local_endpoint, chat_handler):
+    send = _http_transport(LlmConfig(endpoint=local_endpoint, model="m"))
+    assert send(PAYLOAD) == "[42, 24]"
+    assert send(PAYLOAD) == "[42, 24]"  # one sender serves every request
+    assert [seen["body"] for seen in chat_handler.seen] == [PAYLOAD, PAYLOAD]
+    assert chat_handler.seen[0]["agent"] == f"shapeopt/{shapeopt.__version__}"
+    assert chat_handler.seen[0]["type"] == "application/json"
+
+
+@pytest.mark.parametrize("key", ["sk-unit\n", "sk unit", "sk-\u043a\u043b\u044e\u0447"])
+def test_http_transport_refuses_a_key_no_header_can_carry(key, monkeypatch):
+    monkeypatch.setenv("SHAPEOPT_API_KEY", key)
+    with pytest.raises(ValueError, match="SHAPEOPT_API_KEY must be printable ASCII") as excinfo:
+        _http_transport(make_config())
+    assert "sk" not in str(excinfo.value)
+
+
+def test_http_error_status_is_transport_error_and_closes_the_reply(local_endpoint, chat_handler):
+    chat_handler.status = 500
+    send = _http_transport(LlmConfig(endpoint=local_endpoint, model="m"))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(TransportError, match="HTTP 500") as excinfo:
+            send(PAYLOAD)
+        # Not every Python warns when an unclosed reply is collected.
+        assert excinfo.value.__cause__.fp.isclosed()
+        del excinfo
+        gc.collect()
+    assert [str(w.message) for w in caught] == []
+
+
+def test_http_transport_times_out_as_transport_error(local_endpoint, chat_handler):
+    chat_handler.stall = 0.6
+    send = _http_transport(LlmConfig(endpoint=local_endpoint, model="m", timeout=0.2))
+    with pytest.raises(TransportError):
+        send(PAYLOAD)  # the reply would arrive, unusable only by its lateness
 
 
 def test_http_transport_connection_refused_is_transport_error():
@@ -427,12 +482,12 @@ def test_http_transport_connection_refused_is_transport_error():
         send({"model": "m", "temperature": 0.0, "messages": []})
 
 
-def test_http_transport_non_json_body_is_transport_error(local_endpoint, monkeypatch):
-    monkeypatch.setattr(_Handler, "answer", b"<html>busy</html>")
+def test_http_transport_non_json_body_is_transport_error(local_endpoint, chat_handler):
+    chat_handler.answer = b"<html>busy</html>"
     send = _http_transport(LlmConfig(endpoint=local_endpoint, model="m"))
     with pytest.raises(TransportError, match="response is not JSON"):
         send({"model": "m", "temperature": 0.0, "messages": []})
-    assert len(_Handler.seen) == 1
+    assert len(chat_handler.seen) == 1
 
 
 def test_cli_run_audits_each_proposal(local_endpoint, tmp_path):
