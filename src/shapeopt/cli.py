@@ -225,19 +225,19 @@ def run_single_seed(settings: dict, seed: int, resume: bool) -> Path:
         strategy = _strategy(settings, problem, rundir.audit_log(run_dir))
     except ValueError as exc:  # the chat client refuses the API key
         raise ConfigError(str(exc)) from exc
-    buffer, writer = rundir.open_run(run_dir, snapshot, problem.bounds, resume)
-    buffer = run_optimization(
-        problem,
-        strategy,
-        _es_config(settings, seed),
-        initial_buffer=buffer,
-        on_generation=writer,
-    )
-    best = buffer.best_record()
-    detail = None
-    if isinstance(problem, AxisymDragProblem) and best.status == STATUS_OK:
-        detail = problem.evaluate_detail(best.design)
-    rundir.finish_run(run_dir, settings, problem.bounds, buffer, detail)
+    with rundir.open_run(run_dir, snapshot, problem.bounds, resume) as (buffer, writer):
+        buffer = run_optimization(
+            problem,
+            strategy,
+            _es_config(settings, seed),
+            initial_buffer=buffer,
+            on_generation=writer,
+        )
+        best = buffer.best_record()
+        detail = None
+        if isinstance(problem, AxisymDragProblem) and best.status == STATUS_OK:
+            detail = problem.evaluate_detail(best.design)
+        rundir.finish_run(run_dir, settings, problem.bounds, buffer, detail)
     return run_dir
 
 

@@ -41,6 +41,9 @@ DESIGNS_PER_GENERATION = 3
 # and one generation of the largest analytic design
 # (problems.MAX_DIMENSION) then takes 80 MB.
 MAX_POPULATION = 10_000
+# Most threads scoring a generation: each has its own stack and glibc malloc
+# arena, which keeps the pages of its largest drag solve (up to 42 MiB).
+MAX_WORKERS = 32
 # Round-off by which a point may stray outside its box and still lie in it.
 _BOX_SLACK = 1e-9
 
@@ -59,6 +62,7 @@ __all__ = [
     "GaussianSearch",
     "LARGEST",
     "MAX_POPULATION",
+    "MAX_WORKERS",
     "MeanProposer",
     "Problem",
     "ProposerError",
@@ -334,8 +338,8 @@ class EsConfig:
             raise ValueError("budget must be at least one generation")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
-        if self.max_workers < 1:
-            raise ValueError("max_workers must be at least 1")
+        if not 1 <= self.max_workers <= MAX_WORKERS:
+            raise ValueError(f"max_workers must lie in [1, {MAX_WORKERS}]")
 
 
 class AskStrategy(Protocol):

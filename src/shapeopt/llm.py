@@ -56,6 +56,9 @@ MAX_RETRIES = 20
 # Printable ASCII without spaces: what the request line and the bearer
 # token may carry.
 _PRINTABLE = re.compile(r"[!-~]+")
+# Bytes of an error reply that its TransportError, and so the audit, quote:
+# room for a provider's reason, such as an exhausted quota, not a whole page.
+_ERROR_BODY_BYTES = 2048
 _VECTOR_RE = re.compile(r"\[\s*[+-]?\d+(?:\s*,\s*[+-]?\d+)*\s*\]")
 
 
@@ -217,7 +220,8 @@ def _http_transport(cfg: LlmConfig) -> Callable[[dict], str]:
     body as two segments without TCP_NODELAY, as ``http.server`` does, stall
     every reply on a delayed ACK of about 40 ms.  Proxies come from the
     ``*_proxy`` environment variables and TLS checks the system CA store.
-    The API key is read from the environment once, here.
+    An error status's TransportError quotes the start of the reply.  The
+    API key is read from the environment once, here.
     """
     # Imported here: only runs that call an endpoint pay for loading them.
     import http.client
@@ -245,8 +249,12 @@ def _http_transport(cfg: LlmConfig) -> Callable[[dict], str]:
             with opener.open(request, timeout=cfg.timeout) as response:
                 raw = response.read()
         except urllib.error.HTTPError as exc:
-            exc.close()
-            raise TransportError(f"request failed: HTTP {exc.code} {exc.reason}") from exc
+            with exc:  # closes the reply
+                try:
+                    body = exc.read(_ERROR_BODY_BYTES).decode("utf-8", errors="replace")
+                except (OSError, http.client.HTTPException):
+                    body = ""
+            raise TransportError(f"request failed: HTTP {exc.code} {exc.reason}: {body}") from exc
         except (OSError, http.client.HTTPException) as exc:  # URLError is an OSError
             raise TransportError(f"request failed: {exc}") from exc
         try:

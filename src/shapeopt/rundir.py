@@ -213,20 +213,36 @@ def _check_same_run(run_dir: Path, snapshot: dict, dimension: int) -> None:
     )
 
 
+@contextmanager
 def open_run(
     run_dir: Path, snapshot: dict, bounds: Bounds, resume: bool
-) -> tuple[RecordBuffer, RecordWriter]:
-    """Write ``snapshot`` as the config; return the complete generations so
-    far and the writer of the next.  Existing records need ``resume`` and a
-    matching stored config."""
-    path = run_dir / "records.jsonl"
-    buffer = RecordBuffer()
-    if path.exists() and path.stat().st_size > 0:
-        require(resume, f"{path} already holds records; pass --resume to continue")
-        _check_same_run(run_dir, snapshot, bounds.dimension)
-        buffer = load_records(path, snapshot["population_size"], bounds.dimension)
-    write_json(run_dir / "config.json", snapshot)
-    return buffer, RecordWriter(path, bounds, start_index=len(buffer))
+) -> Iterator[tuple[RecordBuffer, RecordWriter]]:
+    """Lock ``run_dir``, write ``snapshot`` as the config, and yield the
+    complete generations so far and the writer of the next.  Existing
+    records need ``resume`` and a matching stored config.  The ``flock``
+    on ``.lock`` (not on the records, which ``load_records`` replaces)
+    ends with the block or the process; without ``fcntl`` there is none."""
+    try:
+        run_dir.mkdir(parents=True, exist_ok=True)
+        lock = open(run_dir / ".lock", "ab")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {run_dir}: {exc}") from exc
+    with lock:
+        try:
+            import fcntl
+            fcntl.flock(lock, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except ImportError:  # not POSIX: runs take no lock
+            pass
+        except OSError as exc:
+            raise ConfigError(f"cannot lock {run_dir}: another run holds it ({exc})") from exc
+        path = run_dir / "records.jsonl"
+        buffer = RecordBuffer()
+        if path.exists() and path.stat().st_size > 0:
+            require(resume, f"{path} already holds records; pass --resume to continue")
+            _check_same_run(run_dir, snapshot, bounds.dimension)
+            buffer = load_records(path, snapshot["population_size"], bounds.dimension)
+        write_json(run_dir / "config.json", snapshot)
+        yield buffer, RecordWriter(path, bounds, start_index=len(buffer))
 
 
 def audit_log(run_dir: Path) -> Callable[[dict], None]:

@@ -18,19 +18,16 @@ order, ``QUAD_ORDER`` (8) but half that ``_FAR_GAP`` or more elements
 apart and ``SELF_ORDER`` (12) on the self element, with panels graded
 toward the neighbours, and the self-element log singularity subtracted
 and integrated analytically.  The table depends only on the element
-count and the mirror, so it is built once and cached, with its nodes as
-fractions of the source element.  Each solve then calls the kernel
-twice: once on the far pairs, about 88% of them at n = 120, and once on
-the flat node list of all nearer pairs.  The kernel writes its
-four components into one new ``(4, *shape)`` array, which the caller
-owns.  It computes them block by block, at most ``_BLOCK`` points at a
-time, with every temporary written in place into a fixed set of
-per-thread scratch rows: ``_SLOTS * _BLOCK * 8`` bytes (3 MiB) per
-thread, whatever n is.  Those pages stay mapped between solves, so a
-solve does not fault its temporaries in again.  Each block evaluates the
-elliptic forms over all its points and overwrites the small-m entries
-with their series.  The operations and their order do not depend on the
-blocking, so the results are the same bits for any block size.
+count and the mirror, so it is built once and cached.  It lists every
+Gauss node once, as a fraction of its source element, so each solve
+evaluates the meridian once and then calls the kernel twice: once on the
+far pairs, about 88% of them at n = 120, and once on the flat node list
+of all nearer pairs.  The kernel works block by block, at most ``_BLOCK``
+points at a time.  Each block evaluates the elliptic forms over all its
+points and overwrites the small-m entries with their series.  The
+operations and their order do not depend on the blocking, so the results
+are the same bits for any block size.  Importing the module pads the top
+of glibc's heap (``_HEAP_TOP_PAD``), so that solves reuse pages.
 The dense system, in the one block layout ``[[rr, rz], [zr, zz]]``, is
 solved directly, and drag is reported both raw (unit viscosity, unit
 stream speed) and normalized by the Stokes drag of the unit sphere.
@@ -55,7 +52,7 @@ conditioned, and its tractions carry no gauge component.
 
 from __future__ import annotations
 
-import threading
+import ctypes
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -67,6 +64,19 @@ SPHERE_DRAG = 6.0 * np.pi
 
 # Dense direct solves stay cheap and well behaved up to this element count.
 MAX_ELEMENTS = 400
+
+# glibc hands free memory at its heap top back to the kernel and maps blocks
+# over 128 KiB afresh, so each solve would fault its temporaries in again.
+# Free memory kept at the heap top ends that.  This pad holds the largest
+# solve's, unfolded at MAX_ELEMENTS (about 42 MiB), and costs resident
+# memory only up to the largest solve a process has run.
+_HEAP_TOP_PAD = 64 << 20
+try:  # glibc's mallopt; other C libraries may lack it
+    _mallopt = ctypes.CDLL(None).mallopt
+    _mallopt.argtypes, _mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    _mallopt(-2, _HEAP_TOP_PAD)  # -2 is M_TOP_PAD in glibc's malloc.h
+except (AttributeError, OSError, TypeError):  # no mallopt, or no C library
+    pass
 
 # Elliptic-integral evaluation of the azimuthal integrals loses digits to
 # cancellation as the modulus m -> 0; below this threshold the integrals
@@ -161,63 +171,58 @@ _POLYNOMIALS = np.array([_K_P, _E_P, _K_Q, (0.0, *_E_Q)]).T[:, :, None]
 _POLYNOMIALS.flags.writeable = False
 
 
-def _elliptic_k_e(x, log_x, polys):
-    """K and E of ``m = 1 - x``, from the flat array ``x`` and its log.
+def _elliptic_k_e(x):
+    """K and E of ``m = 1 - x``, from the contiguous array ``x``.
 
     ``x`` is the exact ``1 - m``, which keeps the log singularity of K down
-    to round-off separations.  ``polys`` is scratch of shape
-    ``(4, x.size)``; K and E come back in ``polys[0]`` and ``polys[1]``.
-    Horner's rule runs as Cephes ``polevl`` does, one operation at a time,
-    so a point gets the same bits alone or in any array.
+    to round-off separations.  Horner's rule runs as Cephes ``polevl``
+    does, one operation at a time, so a point gets the same bits alone or
+    in any array.
     """
-    np.multiply(x, _POLYNOMIALS[0], out=polys)
+    flat = x.ravel()
+    log_x = np.log(flat)
+    polys = flat * _POLYNOMIALS[0]
     polys += _POLYNOMIALS[1]
     for c in _POLYNOMIALS[2:]:
-        polys *= x
+        polys *= flat
         polys += c
     k, e, k_q, e_q = polys
     k_q *= log_x
     k -= k_q
-    e_q *= x
+    e_q *= flat
     e_q *= log_x
     e -= e_q
-    return k, e
+    return k.reshape(x.shape), e.reshape(x.shape)
 
 
-def _ring_integrals(dsq, big_dsq, m, work, flag):
+def _ring_integrals(dsq, big_dsq, m):
     """Azimuthal integrals I_pq = int cos^q(phi) / R^p dphi, p in {1, 3}.
 
     With R^2 = D^2 (1 - m cos^2 u) the integrals reduce to complete
     elliptic integrals, evaluated over the whole block.  The reduced forms
     divide by m, so where ``m <= _SMALL_M`` their values are overwritten
-    by power series in m.  Every temporary is written into the seven
-    scratch rows of the array ``work`` and the boolean ``flag``, all of the
-    arguments' shape; the four integrals come back in four of those rows.
+    by power series in m.  The arguments are contiguous arrays of one
+    shape, and so are the four integrals.
     """
-    one_m, k, e, two_m, scale, i10, i11 = work
-    np.divide(dsq, big_dsq, out=one_m)  # exact 1 - m, no cancellation
-    # k, e, two_m and scale hold the polynomials, and i10 log(1 - m), until
-    # needed below; the rows are contiguous, so the flat views share them
-    rows = work.reshape(len(work), -1)
-    _elliptic_k_e(rows[0], np.log(rows[0], out=rows[5]), rows[1:5])
-    e_om = np.divide(e, one_m, out=one_m)
-    np.divide(2.0, m, out=two_m)
-    np.sqrt(big_dsq, out=scale)
-    np.divide(4.0, scale, out=scale)  # 4 / D
-    np.multiply(k, scale, out=i10)
-    np.subtract(k, e, out=i11)  # 4 (2 (K - E) / m - K) / D
+    one_m = dsq / big_dsq  # exact 1 - m, no cancellation
+    k, e = _elliptic_k_e(one_m)
+    e_om = e / one_m
+    two_m = 2.0 / m
+    scale = 4.0 / np.sqrt(big_dsq)  # 4 / D
+    i10 = k * scale
+    i11 = k - e  # 4 (2 (K - E) / m - K) / D
     i11 *= two_m
     i11 -= k
     i11 *= scale
-    i30 = np.multiply(e, scale, out=e)  # 4 E / (D dsq)
+    i30 = e * scale  # 4 E / (D dsq)
     i30 /= dsq
-    i31 = np.subtract(e_om, k, out=k)  # 4 (2 (E_om - K) / m - E_om) / D^3
+    i31 = e_om - k  # 4 (2 (E_om - K) / m - E_om) / D^3
     i31 *= two_m
     i31 -= e_om
     i31 *= scale
     i31 /= big_dsq
 
-    small = np.flatnonzero(np.less_equal(m, _SMALL_M, out=flag))
+    small = np.flatnonzero(m <= _SMALL_M)
     if small.size:
         ms = np.take(m, small)
         # Horner's rule, elementwise so that a point gets the same bits
@@ -237,22 +242,10 @@ def _ring_integrals(dsq, big_dsq, m, work, flag):
     return i10, i11, i30, i31
 
 
-# The kernel works through its points in blocks of at most this many, in
-# per-thread scratch of _SLOTS such rows and one boolean row, so its
-# working memory stays at about _SLOTS * _BLOCK * 8 bytes per thread and
-# does not grow with the call.  Scratch that is kept is not handed back to
-# the allocator between solves, so its pages are faulted in only once.
+# The kernel works through its points in blocks of at most this many, so
+# that a block's dozen temporaries (256 KiB each) stay in cache.  Unblocked,
+# an assembly took 11-13 ms against 9 ms at n = 240, 36-44 against 26 at 400.
 _BLOCK = 32768
-_SLOTS = 12
-_scratch = threading.local()
-
-
-def _scratch_rows():
-    """This thread's scratch: ``(_SLOTS, _BLOCK)`` floats and ``_BLOCK`` flags."""
-    rows = getattr(_scratch, "rows", None)
-    if rows is None or rows[1].size != _BLOCK:
-        rows = _scratch.rows = np.empty((_SLOTS, _BLOCK)), np.empty(_BLOCK, bool)
-    return rows
 
 
 def _blocks(shape):
@@ -274,32 +267,30 @@ def _blocks(shape):
             yield lead + (slice(start, start + step),)
 
 
-def _ring_block(r, z, r0, z0, out, work, flag):
+def _ring_block(r, z, r0, z0, out):
     """The kernel on one block: ``out`` takes ``(M_rr, M_rz, M_zr, M_zz)``."""
-    dz, dz2, dsq, m, big_dsq = work[:5]
-    np.subtract(z, z0, out=dz)
-    np.multiply(dz, dz, out=dz2)
-    np.subtract(r, r0, out=dsq)  # dr
+    dz = z - z0
+    dz2 = dz * dz
+    dsq = r - r0  # dr
     dsq *= dsq
     dsq += dz2
     if not dsq.all():
         raise ValueError("field and source points coincide")
-    rr4 = np.multiply(4.0, r, out=m)
+    rr4 = 4.0 * r
     rr4 *= r0
-    np.add(dsq, rr4, out=big_dsq)  # dz^2 + (r + r0)^2
-    np.divide(rr4, big_dsq, out=m)
+    big_dsq = dsq + rr4  # dz^2 + (r + r0)^2
+    m = rr4 / big_dsq
 
-    i10, i11, i30, i31 = _ring_integrals(dsq, big_dsq, m, work[5:], flag)
+    i10, i11, i30, i31 = _ring_integrals(dsq, big_dsq, m)
 
     m_rr, m_rz, m_zr, m_zz = out
-    product = dsq  # free once the integrals are done
     np.multiply(dz2, i30, out=m_zz)
     m_zz += i10
     np.multiply(r, i31, out=m_zr)
-    m_zr -= np.multiply(r0, i30, out=product)
+    m_zr -= r0 * i30
     m_zr *= dz
     np.multiply(r, i30, out=m_rz)
-    m_rz -= np.multiply(r0, i31, out=product)
+    m_rz -= r0 * i31
     m_rz *= dz
     # The rr integrand is [2 cos(phi) R^2 - dz^2 cos(phi) - r r0 sin^2(phi)]
     # / R^3, and by parts r r0 int sin^2(phi) / R^3 dphi = I11.  This form
@@ -318,8 +309,7 @@ def ring_stokeslet(r, z, r0, z0):
     exchange symmetry ``M(x, x0) = M(x0, x)^T`` and develops a log
     singularity as the points coalesce.  The arguments broadcast against
     each other; the result is a new ``(4, *shape)`` array of their
-    broadcast shape, or a tuple of floats when they are all scalars.  The
-    work is done block by block in fixed per-thread scratch (``_BLOCK``).
+    broadcast shape, or a tuple of floats when they are all scalars.
     """
     r, z, r0, z0 = (np.asarray(a, dtype=float) for a in (r, z, r0, z0))
     if np.any(r <= 0.0) or np.any(r0 <= 0.0):
@@ -329,13 +319,8 @@ def ring_stokeslet(r, z, r0, z0):
     shape = shape or (1,)
     result = np.empty((4, *shape))
     args = [a if a.shape == shape else np.broadcast_to(a, shape) for a in (r, z, r0, z0)]
-    slots, flags = _scratch_rows()
     for block in _blocks(shape):
-        out = result[(slice(None), *block)]
-        size = out.size // 4
-        work = slots[:, :size].reshape(_SLOTS, *out.shape[1:])
-        flag = flags[:size].reshape(out.shape[1:])
-        _ring_block(*(a[block] for a in args), out, work, flag)
+        _ring_block(*(a[block] for a in args), result[(slice(None), *block)])
     if scalar:
         return tuple(float(m[0]) for m in result)
     return result
@@ -485,24 +470,23 @@ def _panel_rule(edges, order: int) -> tuple[np.ndarray, np.ndarray]:
 class _RuleTable:
     """Quadrature of every element pair of one mesh size.
 
-    Node and weight positions are fractions of the source element, from
-    its start.  The far pairs share one rule, so they keep only their pair
-    indices.  The near rules' nodes are listed once per source element;
-    every near pair, in row-major order, takes its rule's run of them, and
-    its first entry in the flat node list is at ``near_starts``.
+    Every Gauss node is listed once, with its position and weight as
+    fractions of its source element: the far rule on every element, then
+    all near rules on each element that near pairs use.  The far pairs
+    take a ``(node, pair)`` array of indices into that list; each near
+    pair, in row-major order, takes its rule's run of ``near_index``,
+    which starts at ``near_starts``.
     """
 
+    elements: np.ndarray  # source element of every node
+    nodes: np.ndarray
+    weights: np.ndarray
     far: np.ndarray  # (row, element) mask of the far pairs
     far_rows: np.ndarray  # row of every far pair, row-major
-    far_elements: np.ndarray  # source element of every far pair
-    far_nodes: np.ndarray
-    far_weights: np.ndarray
+    far_index: np.ndarray  # (node, pair) index of the far pairs' nodes
     near: np.ndarray  # mask of the near pairs
-    near_nodes: np.ndarray  # all near rules' nodes on one element
-    near_weights: np.ndarray
-    near_sources: int  # elements 0 .. near_sources - 1 hold near nodes
-    near_rows: np.ndarray  # row of every flat node
-    near_index: np.ndarray  # flat index into a (near_sources, nodes) array
+    near_rows: np.ndarray  # row of every near pair's nodes
+    near_index: np.ndarray  # index of every near pair's nodes
     near_starts: np.ndarray
     # Per unit width, the quadrature minus the closed form of the self
     # element's -2 log(distance) term.
@@ -546,18 +530,21 @@ def _rule_table(n: int, mirrored: bool, quad_order: int, self_order: int) -> _Ru
     log_quad = self_weights @ np.log(np.abs(self_nodes - 0.5))
     far_nodes, far_weights = _panel_rule((0.0, 1.0), max(2, quad_order // 2))
     far_rows, far_elements = np.nonzero(far)
+    near_nodes, near_weights = (np.concatenate(column) for column in zip(*rules))
+    sources = int(j.max()) + 1  # elements 0 .. sources - 1 hold near nodes
+    # Far node q of element e is at q * n + e; the near nodes follow.
+    offset = far_nodes.size * n
     table = _RuleTable(
+        elements=np.concatenate([np.tile(np.arange(n), far_nodes.size),
+                                 np.repeat(np.arange(sources), sizes.sum())]),
+        nodes=np.concatenate([np.repeat(far_nodes, n), np.tile(near_nodes, sources)]),
+        weights=np.concatenate([np.repeat(far_weights, n), np.tile(near_weights, sources)]),
         far=far,
         far_rows=far_rows.astype(np.int32),
-        far_elements=far_elements.astype(np.int32),
-        far_nodes=far_nodes,
-        far_weights=far_weights,
+        far_index=(np.arange(far_nodes.size)[:, None] * n + far_elements).astype(np.int32),
         near=near,
-        near_nodes=np.concatenate([nodes for nodes, _ in rules]),
-        near_weights=np.concatenate([weights for _, weights in rules]),
-        near_sources=int(j.max()) + 1,
         near_rows=i[pair].astype(np.int32),
-        near_index=(j[pair] * sizes.sum() + first[pair] + step).astype(np.int32),
+        near_index=(offset + j[pair] * sizes.sum() + first[pair] + step).astype(np.int32),
         near_starts=starts,
         self_log=2.0 * float(log_quad + np.log(2.0) + 1.0),
     )
@@ -567,19 +554,6 @@ def _rule_table(n: int, mirrored: bool, quad_order: int, self_order: int) -> _Ru
     return table
 
 
-def _source_rings(mesh: BoundaryMesh, fractions, weights, elements):
-    """Kernel radius, axial position and quadrature measure at Gauss nodes.
-
-    ``fractions`` and ``weights`` place the nodes on the source
-    ``elements`` they broadcast against, which sets the results' shape.
-    """
-    width = mesh.widths[elements]
-    r, z = mesh.meridian(mesh.element_bounds[elements] + fractions * width)
-    # Interpolant overshoot can dip below the axis right at the poles;
-    # those nodes carry (clipped) zero measure, so pad the kernel radius.
-    return np.maximum(r, 1e-14), z, np.clip(r, 0.0, None) * (weights * width)
-
-
 def assemble_single_layer(mesh: BoundaryMesh) -> np.ndarray:
     """Collocation matrix of the single-layer velocity operator.
 
@@ -587,9 +561,10 @@ def assemble_single_layer(mesh: BoundaryMesh) -> np.ndarray:
     velocity rows over axial velocity rows, radial traction unknowns
     before axial ones.  The cached rule table (``_rule_table``) integrates
     every pair of collocation element ``i`` and source element ``j``.  The
-    kernel is called twice: once on the far pairs' (node, pair) arrays,
-    over which the collocation points broadcast, and once on the flat node
-    list of all nearer pairs.
+    meridian is evaluated once at all the table's nodes, and the kernel is
+    called twice: once on the far pairs' (node, pair) arrays, over which
+    the collocation points broadcast, and once on the flat node list of
+    all nearer pairs.
 
     On a mirrored mesh only the rows of the first ``ceil(n/2)`` elements
     are assembled, and element ``j`` is folded with its mirror image
@@ -604,31 +579,27 @@ def assemble_single_layer(mesh: BoundaryMesh) -> np.ndarray:
     rc, zc = mesh.midpoint_r, mesh.midpoint_z
     blocks = np.empty((4, rows, n))  # rr, rz, zr, zz over (row, element)
 
-    # Far pairs: the nodes of every element once, taken pair by pair.
-    r0, z0, measure = _source_rings(
-        mesh, table.far_nodes[:, None], table.far_weights[:, None], np.arange(n)
-    )
-    i, j = table.far_rows, table.far_elements
-    kernel = ring_stokeslet(
-        rc.take(i), zc.take(i), r0.take(j, axis=1), z0.take(j, axis=1)
-    )
-    measure = measure.take(j, axis=1)
+    # Kernel radius, axial position and quadrature measure at every node.
+    width = mesh.widths.take(table.elements)
+    r, z0 = mesh.meridian(mesh.element_bounds.take(table.elements) + table.nodes * width)
+    # Interpolant overshoot can dip below the axis right at the poles;
+    # those nodes carry (clipped) zero measure, so pad the kernel radius.
+    measure = np.clip(r, 0.0, None) * (table.weights * width)
+    r0 = np.maximum(r, 1e-14)
+
+    # Far pairs: one rule, summed over its nodes pair by pair.
+    i, node = table.far_rows, table.far_index
+    kernel = ring_stokeslet(rc.take(i), zc.take(i), r0.take(node), z0.take(node))
+    pair_measure = measure.take(node)
     for block, m in zip(blocks, kernel):
-        block[table.far] = np.einsum("qp,qp->p", m, measure)
-    # Free the far arrays (m is a view of kernel) before the near pairs
-    # allocate theirs.  A solve's temporaries then peak low enough that
-    # glibc does not trim them off the heap, to fault them in again on the
-    # next solve: at n = 120 that was about 400 page faults per solve.
-    del kernel, measure, m
+        block[table.far] = np.einsum("qp,qp->p", m, pair_measure)
 
     # Near pairs: one flat node list, summed pair by pair.
-    sources = np.arange(table.near_sources)[:, None]
-    r0, z0, measure = _source_rings(mesh, table.near_nodes, table.near_weights, sources)
     i, node = table.near_rows, table.near_index
     kernel = ring_stokeslet(rc.take(i), zc.take(i), r0.take(node), z0.take(node))
-    measure = measure.take(node)
+    pair_measure = measure.take(node)
     for block, m in zip(blocks, kernel):
-        m *= measure
+        m *= pair_measure
         block[table.near] = np.add.reduceat(m, table.near_starts)
 
     # The kernel times the ring radius behaves as -2 log(distance) at the

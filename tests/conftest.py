@@ -66,7 +66,10 @@ def chat_handler():
 def local_endpoint(chat_handler):
     """URL of a local chat endpoint that answers ``[42, 24]`` by default."""
     server = http.server.HTTPServer(("127.0.0.1", 0), chat_handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # shutdown() waits for the server's next poll, 0.5 s apart by default
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+    )
     thread.start()
     yield f"http://127.0.0.1:{server.server_address[1]}/v1/chat/completions"
     server.shutdown()

@@ -34,7 +34,7 @@ from shapeopt.cli import (
     parse_config,
 )
 from shapeopt.airfoil import N_CONTROL_POINTS, EvaluatorConfig
-from shapeopt.evolution import LARGEST, MAX_POPULATION, EsConfig
+from shapeopt.evolution import LARGEST, MAX_POPULATION, MAX_WORKERS, EsConfig
 from shapeopt.ga import GaConfig, run_ga
 from shapeopt.llm import MAX_RETRIES, LlmConfig
 from shapeopt.problems import (
@@ -195,6 +195,8 @@ REQUIRED_ARGS = {
         (AirfoilProblem, "n_free_points", 5),
         (EsConfig, "population_size", MAX_POPULATION + 1),
         (EsConfig, "population_size", 2**62),
+        (EsConfig, "max_workers", MAX_WORKERS + 1),
+        (EsConfig, "max_workers", 2**62),
         (EvaluatorConfig, "reynolds", 1e308),
         (EvaluatorConfig, "baseline_ratio", -1e308),
         (AxisymDragProblem, "n_samples", MAX_SAMPLES + 2),
@@ -209,6 +211,7 @@ def test_owners_refuse_out_of_range_values(build, name, value):
 
 def test_size_bounds_admit_their_limits():
     assert EsConfig(budget=1, population_size=MAX_POPULATION).population_size == 10_000
+    assert EsConfig(budget=1, max_workers=MAX_WORKERS).max_workers == 32
     assert QuadraticProblem(dimension=MAX_DIMENSION).bounds.dimension == 1000
     assert AxisymDragProblem(n_samples=MAX_SAMPLES).n_samples == 100_001
     assert LlmConfig(**LLM_BLOCK, max_retries=MAX_RETRIES).max_retries == 20
@@ -735,6 +738,57 @@ def test_run_refuses_overwrite_without_resume(tmp_path, capsys):
     assert run_cli("run", "--config", config, "--out", out) == EXIT_OK
     assert run_cli("run", "--config", config, "--out", out) == EXIT_CONFIG
     assert "--resume" in capsys.readouterr().err
+
+
+def test_a_run_directory_takes_one_process_at_a_time(
+    tmp_path, capsys, local_endpoint, chat_handler
+):
+    doc = {**ANALYTIC, "optimizer": "llm", "llm": {"endpoint": local_endpoint, "model": "m"}}
+    config = write_config(tmp_path, doc)
+    assert run_cli("run", "--config", config, "--out", str(tmp_path / "solo")) == EXIT_OK
+    solo = (tmp_path / "solo" / "seed_0" / "records.jsonl").read_bytes()
+    out = tmp_path / "runs"
+    run_dir = out / "seed_0"
+    argv = [sys.executable, "-m", "shapeopt.cli", "run", "--config", config, "--out", str(out)]
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])
+    )}
+
+    def start_holder():
+        """A run in another process, stalled on its first question to the model."""
+        asked = len(chat_handler.seen)
+        holder = subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL)
+        deadline = time.monotonic() + 60
+        while len(chat_handler.seen) == asked and time.monotonic() < deadline:
+            time.sleep(0.005)
+        assert len(chat_handler.seen) > asked
+        return holder
+
+    # The holder waits 1 s for its reply: time enough for two refusals.
+    chat_handler.stall = 1.0
+    holder = start_holder()
+    before = {path.name: path.read_bytes() for path in run_dir.iterdir()}
+    for resume in ([], ["--resume"]):
+        capsys.readouterr()
+        assert run_cli("run", "--config", config, "--out", str(out), *resume) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert str(run_dir) in err
+        assert {path.name: path.read_bytes() for path in run_dir.iterdir()} == before
+    chat_handler.stall = 0.0
+    assert holder.wait(timeout=60) == EXIT_OK
+    assert (run_dir / "records.jsonl").read_bytes() == solo
+
+    # A killed holder leaves no lock behind.
+    shutil.rmtree(out)
+    chat_handler.stall = 1.0
+    holder = start_holder()
+    holder.kill()
+    holder.wait(timeout=60)
+    chat_handler.stall = 0.0
+    assert run_cli("run", "--config", config, "--out", str(out), "--resume") == EXIT_OK
+    assert (run_dir / "records.jsonl").read_bytes() == solo
 
 
 def test_resume_after_truncation_matches_full_run(tmp_path):

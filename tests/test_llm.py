@@ -456,11 +456,15 @@ def test_http_transport_refuses_a_key_no_header_can_carry(key, monkeypatch):
 
 def test_http_error_status_is_transport_error_and_closes_the_reply(local_endpoint, chat_handler):
     chat_handler.status = 500
+    chat_handler.answer = b'{"error": "quota \xff exhausted"}' + b" " * 4000 + b"tail"
     send = _http_transport(LlmConfig(endpoint=local_endpoint, model="m"))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with pytest.raises(TransportError, match="HTTP 500") as excinfo:
             send(PAYLOAD)
+        # the provider's reason, undecodable bytes replaced, and 2 KB at most
+        assert '{"error": "quota \ufffd exhausted"}' in str(excinfo.value)
+        assert "tail" not in str(excinfo.value)
         # Not every Python warns when an unclosed reply is collected.
         assert excinfo.value.__cause__.fp.isclosed()
         del excinfo

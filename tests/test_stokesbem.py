@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import os
+import platform
 import subprocess
 import sys
 import time
@@ -115,7 +116,7 @@ def test_kernel_small_m_branch_continuity():
 
 def elliptic_k_e(x):
     """The kernel's K and E of ``m = 1 - x``, in fresh arrays."""
-    return stokesbem._elliptic_k_e(x, np.log(x), np.empty((4, x.size)))
+    return stokesbem._elliptic_k_e(x)
 
 
 def test_elliptic_integrals_match_scipy():
@@ -266,7 +267,7 @@ def test_kernel_results_do_not_depend_on_block_size(monkeypatch):
 
 
 def test_kernel_results_are_owned_by_the_caller():
-    # the kernel works in per-thread scratch; its results must not alias it
+    # every call returns a new array; no result may alias another
     args = kernel_layouts()["far"]
     first = ring_stokeslet(*args)
     kept = first.copy()
@@ -420,6 +421,54 @@ assert not loaded, loaded
     assert done.returncode == 0, done.stderr
 
 
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the heap pad is glibc's")
+def test_warm_campaign_solves_fault_in_no_pages():
+    # Without the heap pad, glibc trims a solve's temporaries off the heap
+    # and the next solve faults them in again: 45-180 pages per evaluate at
+    # n = 120 in a mock campaign.  A bare loop of solves of one design
+    # does not show it; the campaign's own allocations between solves do.
+    # The heap's history decides, so the campaigns run in a fresh process.
+    script = """
+import contextlib, io, json, os, resource, tempfile
+from shapeopt import cli, problems
+faults = []
+evaluate = problems.AxisymDragProblem.evaluate
+def counted(self, x):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    try:
+        return evaluate(self, x)
+    finally:
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+problems.AxisymDragProblem.evaluate = counted
+for n in (60, 120, 400):
+    with tempfile.TemporaryDirectory() as out:
+        path = os.path.join(out, "config.json")
+        with open(path, "w") as handle:
+            json.dump({"problem": "axisym_volume", "optimizer": "mock", "budget": 10,
+                       "K": 2, "n_elements": n, "output_dir": out}, handle)
+        faults.clear()
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["run", "--config", path]) == 0
+        assert len(faults) == 80, len(faults)
+        # five generations warm the heap up; count the last five
+        print(n, sum(faults[40:]) / 40)
+"""
+    src = os.path.dirname(os.path.dirname(shapeopt.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    per_evaluate = dict(line.split() for line in done.stdout.splitlines())
+    assert list(per_evaluate) == ["60", "120", "400"]
+    for n, faults in per_evaluate.items():
+        assert float(faults) <= 1.0, (n, per_evaluate)
+
+
 # ------------------------------------------------------------------- solve
 
 def test_matrix_finite_and_reciprocal():
@@ -512,7 +561,7 @@ def test_rule_tables_are_read_only():
         for field in dataclasses.fields(table)
         if isinstance(getattr(table, field.name), np.ndarray)
     ]
-    assert len(arrays) == 11
+    assert len(arrays) == 10
     for array in arrays:
         assert not array.flags.writeable
     with pytest.raises(ValueError):
