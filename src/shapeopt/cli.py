@@ -365,8 +365,8 @@ def cmd_evaluate(
     require(problem.bounds.contains(design), "design lies outside the problem bounds")
     report: dict = {
         "problem": settings["problem"],
-        "design": [float(v) for v in design],
-        "encoded": [int(v) for v in encode_design(design, problem.bounds)],
+        "design": design.tolist(),
+        "encoded": encode_design(design, problem.bounds).tolist(),
     }
     profile = None
     try:

@@ -11,6 +11,7 @@ proposals unambiguous.
 
 from __future__ import annotations
 
+import bisect
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -152,10 +153,13 @@ def encode_design(x, bounds: Bounds) -> np.ndarray:
     """Map a design onto the integer grid {0, ..., 1000} per dimension.
 
     The affine image of the box is [0, 1000]; half-steps round away from
-    zero (always upward here, the scaled values are non-negative).
+    zero (always upward here, the scaled values are non-negative).  An
+    ``(m, d)`` matrix of designs encodes row by row into an ``(m, d)``
+    matrix, with the same bits as ``m`` calls on its rows; it is refused,
+    with the same message, when any row would be.
     """
     x = np.asarray(x, dtype=float)
-    if x.shape != (bounds.dimension,):
+    if x.ndim not in (1, 2) or x.shape[-1] != bounds.dimension:
         raise ValueError("design has the wrong dimension")
     if not bounds.contains(x):
         raise ValueError("design lies outside the bounds")
@@ -209,6 +213,8 @@ class RecordBuffer:
     def __init__(self) -> None:
         self._generations: list[list[ScoredRecord]] = []
         self._bests: list[ScoredRecord] = []
+        # (best score, index) per generation, kept sorted: the rank order.
+        self._ranks: list[tuple[float, int]] = []
         self._scores: dict[bytes, float] = {}
 
     def __len__(self) -> int:
@@ -233,7 +239,9 @@ class RecordBuffer:
             if record.status == STATUS_OK:
                 self._scores.setdefault(_design_key(record.design), record.score)
         # max keeps the first of equal scores: ties keep evaluation order.
-        self._bests.append(max(records, key=lambda record: record.score))
+        best = max(records, key=lambda record: record.score)
+        self._bests.append(best)
+        bisect.insort(self._ranks, (best.score, expected))
 
     def generation(self, index: int) -> list[ScoredRecord]:
         return list(self._generations[index])
@@ -248,6 +256,14 @@ class RecordBuffer:
     def best_in(self, index: int) -> ScoredRecord:
         """Best record of one generation; ties keep evaluation order."""
         return self._bests[index]
+
+    def top_ranks(self, count: int) -> list[tuple[float, int]]:
+        """(best score, index) of the ``count`` top-ranked generations.
+
+        Ascending by best score, equal bests with the lower index first, so
+        the best-scoring generation comes last; ``count`` 0 gives none.
+        """
+        return self._ranks[max(0, len(self._ranks) - count):]
 
     def best_record(self) -> ScoredRecord:
         """Best record of the buffer; ties keep the earliest generation."""
@@ -264,8 +280,7 @@ def rank_generations(buffer: RecordBuffer) -> list[int]:
     """
     if buffer.n_generations == 0:
         raise ValueError("cannot rank an empty buffer")
-    best = [buffer.best_in(g).score for g in range(buffer.n_generations)]
-    return sorted(range(buffer.n_generations), key=lambda g: (best[g], g))
+    return [g for _, g in buffer.top_ranks(buffer.n_generations)]
 
 
 def select_records(buffer: RecordBuffer) -> list[ScoredRecord]:
@@ -275,15 +290,17 @@ def select_records(buffer: RecordBuffer) -> list[ScoredRecord]:
     duplicates), then the best designs of each.  The output lists
     generations in ascending best-score rank and records within a
     generation in ascending score, so the strongest record appears last.
+    Only the chosen generations are read.
     """
-    ranked = rank_generations(buffer)
     n = buffer.n_generations
-    chosen = set(ranked[max(0, n - TOP_GENERATIONS):])
-    chosen.update(range(max(0, n - RECENT_GENERATIONS), n))
+    if n == 0:
+        raise ValueError("cannot rank an empty buffer")
+    chosen = set(buffer.top_ranks(TOP_GENERATIONS))
+    chosen.update(
+        (buffer.best_in(g).score, g) for g in range(max(0, n - RECENT_GENERATIONS), n)
+    )
     selected = []
-    for gen_index in ranked:
-        if gen_index not in chosen:
-            continue
+    for _, gen_index in sorted(chosen):
         # Stable ascending sort; ties keep evaluation order.
         records = sorted(buffer.generation(gen_index), key=lambda rec: rec.score)
         selected.extend(records[-DESIGNS_PER_GENERATION:])

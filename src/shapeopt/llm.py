@@ -112,8 +112,8 @@ class PromptBundle:
     dimension: int
 
 
-def _render_record(encoded: np.ndarray, score: float) -> str:
-    values = ", ".join(str(int(v)) for v in encoded)
+def _render_record(encoded: list[int], score: float) -> str:
+    values = ", ".join(map(str, encoded))
     return f"values: [{values}], score: {score:.6g}"
 
 
@@ -143,7 +143,8 @@ def build_prompt(
     if not records:
         raise ValueError("cannot build a prompt from zero records")
     d = bounds.dimension
-    lines = [_render_record(encode_design(r.design, bounds), r.score) for r in records]
+    encoded = encode_design([r.design for r in records], bounds).tolist()
+    lines = [_render_record(row, r.score) for row, r in zip(encoded, records)]
     parts = [
         (
             "You are running an evolutionary optimization. Each iteration"
@@ -332,9 +333,7 @@ def mock_propose(records: Sequence[ScoredRecord], bounds: Bounds) -> np.ndarray:
     k = min(4, len(ranked))
     weights = np.log(k + 1) - np.log(np.arange(1, k + 1, dtype=float))
     weights /= weights.sum()
-    encoded = np.array(
-        [encode_design(r.design, bounds) for r in ranked[:k]], dtype=float
-    )
+    encoded = encode_design([r.design for r in ranked[:k]], bounds).astype(float)
     return np.floor(weights @ encoded + 0.5).astype(int)
 
 

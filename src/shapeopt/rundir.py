@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 from contextlib import contextmanager
 from pathlib import Path
@@ -22,6 +23,8 @@ from .axisym import BodyProfile
 from .evolution import Bounds, RecordBuffer, ScoredRecord, encode_design
 
 _JSON_TYPES = {"integer": int, "number": (int, float), "string": str}
+# Exact types of a parsed JSON number, so bool (an int subclass) is none.
+_NUMBER_TYPES = frozenset(_JSON_TYPES["number"])
 
 
 class ConfigError(ValueError):
@@ -80,36 +83,49 @@ class RecordWriter:
         self.index = start_index
 
     def __call__(self, records: Sequence[ScoredRecord]) -> None:
-        entries = []
-        for record in records:
-            encoded = encode_design(record.design, self.bounds)
-            entries.append(
-                {
-                    "generation": record.generation,
-                    "design": [float(v) for v in record.design],
-                    "encoded": [int(v) for v in encoded],
-                    "score": float(record.score),
-                    "status": record.status,
-                    "timestamp": self.index,
-                }
+        designs = np.array([record.design for record in records], dtype=float)
+        encoded = encode_design(designs, self.bounds).tolist()
+        entries = [
+            {
+                "generation": record.generation,
+                "design": design,
+                "encoded": grid,
+                "score": float(record.score),
+                "status": record.status,
+                "timestamp": index,
+            }
+            for index, (record, design, grid) in enumerate(
+                zip(records, designs.tolist(), encoded), start=self.index
             )
-            self.index += 1
+        ]
         _append_lines(self.path, entries)
+        self.index += len(entries)
 
 
 def _read_record(entry, dimension: int | None, where: str) -> ScoredRecord:
-    """One parsed records line as a ScoredRecord, or a ConfigError naming it."""
-    require(isinstance(entry, dict), f"{where} is not a JSON object")
+    """One parsed records line as a ScoredRecord, or a ConfigError naming it.
+
+    A resume reads every line, so messages are formatted only on failure,
+    and values are checked by their exact types, not with ``fits``: a
+    parsed line holds only JSON's own types.
+    """
+    if not isinstance(entry, dict):
+        raise ConfigError(f"{where} is not a JSON object")
     g = entry.get("generation")
-    require(fits("integer", g) and g >= 0, f"{where} lacks a generation index")
+    if not (type(g) is int and g >= 0):
+        raise ConfigError(f"{where} lacks a generation index")
     design = entry.get("design")
-    require(
-        fits("number list", design)
+    if not (
+        type(design) is list
         and len(design) > 0
-        and dimension in (None, len(design)),
-        f"{where}: design must be a list of {dimension or 'one or more'} numbers",
-    )
-    require(fits("number", entry.get("score")), f"{where}: score must be a number")
+        and dimension in (None, len(design))
+        and _NUMBER_TYPES.issuperset(map(type, design))
+    ):
+        raise ConfigError(
+            f"{where}: design must be a list of {dimension or 'one or more'} numbers"
+        )
+    if type(entry.get("score")) not in _NUMBER_TYPES:
+        raise ConfigError(f"{where}: score must be a number")
     try:
         record = ScoredRecord(
             np.array(design, dtype=float), entry["score"], g, entry.get("status")
@@ -117,7 +133,8 @@ def _read_record(entry, dimension: int | None, where: str) -> ScoredRecord:
     except (ValueError, OverflowError) as exc:  # bad status, or an int beyond float
         raise ConfigError(f"{where}: {exc}") from exc
     # json reads NaN and Infinity, which no record holds
-    require(np.isfinite(record.score), f"{where}: score must be finite")
+    if not math.isfinite(record.score):
+        raise ConfigError(f"{where}: score must be finite")
     return record
 
 
@@ -301,8 +318,8 @@ def finish_run(
         "n_records": len(buffer),
         "best_score": float(best.score),
         "best_generation": best.generation,
-        "best_design": [float(v) for v in best.design],
-        "best_encoded": [int(v) for v in encode_design(best.design, bounds)],
+        "best_design": best.design.tolist(),
+        "best_encoded": encode_design(best.design, bounds).tolist(),
     }
     if detail is not None:
         _, profile, drag = detail

@@ -34,9 +34,18 @@ from shapeopt.cli import (
     parse_config,
 )
 from shapeopt.airfoil import N_CONTROL_POINTS, EvaluatorConfig
-from shapeopt.evolution import LARGEST, MAX_POPULATION, MAX_WORKERS, EsConfig
+from shapeopt.evolution import (
+    LARGEST,
+    MAX_POPULATION,
+    MAX_WORKERS,
+    STATUS_FAILED,
+    STATUS_OK,
+    Bounds,
+    EsConfig,
+    ScoredRecord,
+)
 from shapeopt.ga import GaConfig, run_ga
-from shapeopt.llm import MAX_RETRIES, LlmConfig
+from shapeopt.llm import MAX_RETRIES, LlmConfig, build_prompt
 from shapeopt.problems import (
     MAX_DIMENSION,
     AirfoilProblem,
@@ -1295,6 +1304,86 @@ def test_load_records_rejects_corruption(tmp_path):
         path.write_text(line + "\n")
         with pytest.raises(ConfigError, match="line 1"):
             load_records(path, 1)
+
+
+def test_load_records_refuses_what_json_only_looks_like(tmp_path):
+    path = tmp_path / "records.jsonl"
+    good = {"generation": 0, "design": [0.0, 1], "encoded": [500, 1000],
+            "score": 1, "status": "ok", "timestamp": 0}
+    path.write_text(json.dumps(good) + "\n")
+    assert load_records(path, 1, dimension=2).best_record().score == 1.0
+    for change, message in (
+        ({"generation": True}, "lacks a generation index"),
+        ({"generation": 0.0}, "lacks a generation index"),
+        ({"generation": -1}, "lacks a generation index"),
+        ({"design": [True, 0.0]}, "design must be a list of 2 numbers"),
+        ({"design": [0.0, None]}, "design must be a list of 2 numbers"),
+        ({"design": [0.0, [1.0]]}, "design must be a list of 2 numbers"),
+        ({"design": {"0": 0.0}}, "design must be a list of 2 numbers"),
+        ({"design": [0.0]}, "design must be a list of 2 numbers"),
+        ({"score": False}, "score must be a number"),
+        ({"score": [1.0]}, "score must be a number"),
+        ({"score": -math.inf}, "score must be finite"),
+    ):
+        path.write_text(json.dumps({**good, **change}) + "\n")
+        with pytest.raises(ConfigError, match=f"line 1:? {message}"):
+            load_records(path, 1, dimension=2)
+
+
+def parent_encode(design, bounds):
+    """One design's grid values by the formula records have always used."""
+    x = np.asarray(design, dtype=float)
+    scaled = (np.clip(x, bounds.lower, bounds.upper) - bounds.lower) / (
+        bounds.upper - bounds.lower
+    )
+    return np.clip(np.floor(scaled * 1000 + 0.5).astype(int), 0, 1000)
+
+
+def contract_records(bounds, generation):
+    """Designs at box edges, round-off past them, half-steps, -0.0 and 1e-300."""
+    lo, hi = bounds.lower, bounds.upper
+    half = lo + (np.array([0, 499, 999]) + 0.5) * (hi - lo) / 1000
+    designs = [lo, hi, lo - 5e-10, hi + 5e-10, half, np.full(3, -0.0),
+               np.array([1e-300, -1e-300, 0.0]), 0.5 * (lo + hi)]
+    scores = [-0.0, 1e-300, 0.1234567, -1e300, 2.5, 0.0, 1e-7, 123456789.0]
+    status = [STATUS_OK, STATUS_FAILED] * 4
+    return [ScoredRecord(d, s, generation, t) for d, s, t in zip(designs, scores, status)]
+
+
+def test_prompt_and_record_lines_keep_their_bytes(tmp_path):
+    # half-steps of the first two components are exact in float64
+    bounds = Bounds(np.array([-500.0, 0.0, -1.0]), np.array([500.0, 1.0, 1.0]))
+    first, second = contract_records(bounds, 0), contract_records(bounds, 1)
+    lines = [
+        "values: [{}], score: {:.6g}".format(
+            ", ".join(str(int(v)) for v in parent_encode(r.design, bounds)), r.score
+        )
+        for r in first
+    ]
+    text = build_prompt(first, bounds, "obj").text
+    assert "better):\n" + "\n".join(lines) + "\n\nPropose" in text
+
+    path = tmp_path / "records.jsonl"
+    writer = RecordWriter(path, bounds, start_index=5)
+    writer(first)
+    writer(second)
+    expected = "".join(
+        json.dumps(
+            {
+                "generation": r.generation,
+                "design": [float(v) for v in r.design],
+                "encoded": [int(v) for v in parent_encode(r.design, bounds)],
+                "score": float(r.score),
+                "status": r.status,
+                "timestamp": 5 + i,
+            },
+            allow_nan=False,
+        )
+        + "\n"
+        for i, r in enumerate(first + second)
+    )
+    assert path.read_text(encoding="utf-8") == expected
+    assert '"design": [-0.0, -0.0, -0.0]' in expected and "1e-300" in expected
 
 
 # --------------------------------------------------------------------- compare

@@ -28,6 +28,7 @@ from shapeopt.evolution import (
     sample_generation,
     select_records,
 )
+from shapeopt.rundir import RecordWriter, load_records
 
 
 def set_selection(monkeypatch, top, recent, designs):
@@ -78,6 +79,45 @@ def test_codec_errors():
         decode_design(np.array([0, 1001]), b)
     with pytest.raises(ValueError):
         decode_design(np.array([0.5, 1.0]), b)  # non-integers
+
+
+def box_values(b, i):
+    """Values of component ``i``: box edges, round-off outside them,
+    half-steps of the grid, signed zeros and tiny numbers inside."""
+    lo, hi = float(b.lower[i]), float(b.upper[i])
+    edges = [lo, hi, lo - 5e-10, hi + 5e-10]
+    inside = [v for v in (0.0, -0.0, 1e-300, -1e-300) if lo <= v <= hi]
+    half_steps = st.integers(0, 999).map(lambda k: lo + (k + 0.5) * (hi - lo) / 1000)
+    return st.one_of(st.sampled_from(edges + inside), half_steps, st.floats(lo, hi))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_matrix_encoding_is_its_rows(data):
+    d = data.draw(st.integers(1, 5))
+    lower = np.array([data.draw(st.sampled_from([-1.0, -50.0, 0.0, 0.3])) for _ in range(d)])
+    width = np.array([data.draw(st.sampled_from([1.0, 2.0, 7.5, 1e-3])) for _ in range(d)])
+    b = Bounds(lower, lower + width)
+    m = data.draw(st.integers(1, 6))
+    x = np.array([[data.draw(box_values(b, i)) for i in range(d)] for _ in range(m)])
+    matrix = encode_design(x, b)
+    rows = np.array([encode_design(row, b) for row in x])
+    assert matrix.shape == (m, d) and matrix.dtype == rows.dtype
+    assert np.array_equal(matrix, rows)
+    assert matrix.tolist() == [[int(v) for v in row] for row in rows]
+
+    def refusal(designs):
+        with pytest.raises(ValueError) as excinfo:
+            encode_design(designs, b)
+        return str(excinfo.value)
+
+    outside = x.copy()
+    row = data.draw(st.integers(0, m - 1))
+    outside[row, data.draw(st.integers(0, d - 1))] = b.upper[0] + 100.0
+    assert refusal(outside) == refusal(outside[row]) == "design lies outside the bounds"
+    wide = np.hstack([x, x[:, :1]])
+    assert refusal(wide) == refusal(wide[0]) == "design has the wrong dimension"
+    assert refusal(x[None]) == refusal(x[0, 0]) == "design has the wrong dimension"
 
 
 @settings(max_examples=200, deadline=None)
@@ -190,6 +230,65 @@ def test_select_records_saturation_and_m_cap(monkeypatch):
     out = select_records(buffer)
     assert len(out) == 4  # every record, capped by generation sizes
     assert out[-1].score == 4.0
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(
+        st.lists(
+            st.sampled_from([-np.inf, -1.0, -0.0, 0.0, 0.5, 2.0]), min_size=1, max_size=4
+        ),
+        min_size=1,
+        max_size=40,
+    )
+)
+def test_rank_generations_matches_brute_force(score_lists):
+    # few distinct scores, so most generations tie on their best
+    buffer = buffer_from_scores(score_lists)
+    bests = [max(scores) for scores in score_lists]
+    assert rank_generations(buffer) == sorted(range(len(bests)), key=lambda g: (bests[g], g))
+
+
+def test_rebuilt_buffer_ranks_like_the_written_one(tmp_path):
+    rng = np.random.default_rng(11)
+    bounds = Bounds.uniform(2, -1.0, 1.0)
+    path = tmp_path / "records.jsonl"
+    writer = RecordWriter(path, bounds)
+    written = RecordBuffer()
+    for g in range(60):
+        scores = rng.integers(-3, 3, size=4).astype(float)  # ties across generations
+        records = [ScoredRecord(bounds.sample_uniform(rng), s, g) for s in scores]
+        written.append_generation(records)
+        writer(records)
+    rebuilt = load_records(path, population_size=4, dimension=2)
+    bests = [max(r.score for r in written.generation(g)) for g in range(60)]
+    brute = sorted(range(60), key=lambda g: (bests[g], g))
+    assert rank_generations(written) == rank_generations(rebuilt) == brute
+
+
+def test_select_records_reads_only_the_chosen_generations(monkeypatch):
+    rng = np.random.default_rng(3)
+    buffer = buffer_from_scores(np.round(rng.normal(size=(600, 8)), 1).tolist())
+    reads = collections.Counter()
+    for name in ("generation", "best_in"):
+        method = getattr(RecordBuffer, name)
+
+        def counted(self, index, method=method, name=name):
+            reads[name] += 1
+            return method(self, index)
+
+        monkeypatch.setattr(RecordBuffer, name, counted)
+    out = select_records(buffer)
+    chosen = evolution.TOP_GENERATIONS + evolution.RECENT_GENERATIONS
+    assert reads["generation"] <= chosen and reads["best_in"] <= chosen
+    monkeypatch.undo()
+    ref = brute_force_select(
+        buffer,
+        evolution.TOP_GENERATIONS,
+        evolution.RECENT_GENERATIONS,
+        evolution.DESIGNS_PER_GENERATION,
+    )
+    assert [(r.generation, r.score) for r in out] == [(r.generation, r.score) for r in ref]
 
 
 def brute_force_select(buffer, top, recent, designs):
