@@ -9,7 +9,7 @@ axisym      tangent-angle bodies of revolution and measure constraints
 stokesbem   axisymmetric Stokes drag by boundary elements
 ga          real-coded genetic-algorithm baseline (an ask strategy)
 problems    objective definitions binding geometry to the optimizers
-cli         the config schema and the five commands
+cli         the config schema and the four commands
 rundir      every file a run reads or writes: records, audit, results
 """
 

@@ -116,11 +116,7 @@ def tangent_angle(coeffs, s):
         raise ValueError("coefficients must be a non-empty 1-D vector")
     series = np.zeros(2 * coeffs.size)
     series[1::2] = coeffs
-    s_arr = np.asarray(s, dtype=float)
-    total = legval(s_arr, series)
-    if s_arr.ndim == 0:
-        return float(total)
-    return total
+    return legval(np.asarray(s, dtype=float), series)
 
 
 def cumulative_simpson_uniform(y, dx: float) -> np.ndarray:

@@ -78,7 +78,6 @@ __all__ = [
     "encode_design",
     "evaluate_designs",
     "generation_rng",
-    "rank_generations",
     "run_optimization",
     "sample_generation",
     "select_records",
@@ -272,17 +271,6 @@ class RecordBuffer:
         return max(self._bests, key=lambda record: record.score)
 
 
-def rank_generations(buffer: RecordBuffer) -> list[int]:
-    """Generation indices ordered by their best score, ascending.
-
-    The best-scoring generation comes last; equal best scores keep the
-    lower generation index first.
-    """
-    if buffer.n_generations == 0:
-        raise ValueError("cannot rank an empty buffer")
-    return [g for _, g in buffer.top_ranks(buffer.n_generations)]
-
-
 def select_records(buffer: RecordBuffer) -> list[ScoredRecord]:
     """Curate the records shown to the proposer.
 
@@ -411,8 +399,8 @@ def evaluate_designs(
     problem: Problem,
     designs: np.ndarray,
     generation: int,
-    mapper: Callable = map,
-    buffer: RecordBuffer | None = None,
+    mapper: Callable,
+    buffer: RecordBuffer,
 ) -> list[ScoredRecord]:
     """Score a population; per-design failures become penalty records.
 
@@ -439,7 +427,7 @@ def evaluate_designs(
     for key, design in zip(keys, designs):
         if key in outcomes or key in fresh:
             continue
-        score = None if buffer is None else buffer.known_score(design)
+        score = buffer.known_score(design)
         if score is None:
             fresh[key] = design
         else:

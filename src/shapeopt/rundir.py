@@ -75,7 +75,7 @@ def _append_lines(path: Path, entries: Sequence[dict]) -> None:
 
 
 class RecordWriter:
-    """Appends one JSON line per record; timestamps count evaluations."""
+    """Appends one JSON line per record; its timestamp is its index in the file."""
 
     def __init__(self, path: Path, bounds: Bounds, start_index: int = 0) -> None:
         self.path = path
@@ -102,7 +102,7 @@ class RecordWriter:
         self.index += len(entries)
 
 
-def _read_record(entry, dimension: int | None, where: str) -> ScoredRecord:
+def _read_record(entry, dimension: int, where: str) -> ScoredRecord:
     """One parsed records line as a ScoredRecord, or a ConfigError naming it.
 
     A resume reads every line, so messages are formatted only on failure,
@@ -117,13 +117,10 @@ def _read_record(entry, dimension: int | None, where: str) -> ScoredRecord:
     design = entry.get("design")
     if not (
         type(design) is list
-        and len(design) > 0
-        and dimension in (None, len(design))
+        and len(design) == dimension
         and _NUMBER_TYPES.issuperset(map(type, design))
     ):
-        raise ConfigError(
-            f"{where}: design must be a list of {dimension or 'one or more'} numbers"
-        )
+        raise ConfigError(f"{where}: design must be a list of {dimension} numbers")
     if type(entry.get("score")) not in _NUMBER_TYPES:
         raise ConfigError(f"{where}: score must be a number")
     try:
@@ -139,7 +136,7 @@ def _read_record(entry, dimension: int | None, where: str) -> ScoredRecord:
 
 
 def _parse_records(
-    path: Path, population_size: int, dimension: int | None
+    path: Path, population_size: int, dimension: int
 ) -> tuple[RecordBuffer, list[str], bool]:
     """Check every line of a records file without writing to it.
 
@@ -180,15 +177,13 @@ def _parse_records(
     return buffer, lines, dropped
 
 
-def load_records(
-    path: Path, population_size: int, dimension: int | None = None
-) -> RecordBuffer:
+def load_records(path: Path, population_size: int, dimension: int) -> RecordBuffer:
     """Rebuild the buffer from disk, dropping a partial trailing generation.
 
     A final line without its newline is a write cut short by a kill and is
     dropped too, and the file is rewritten without the dropped lines; any
-    other malformed line, or a design whose length is not ``dimension``
-    (when given), is an error.
+    other malformed line, or a design whose length is not ``dimension``,
+    is an error.
     """
     buffer, lines, dropped = _parse_records(path, population_size, dimension)
     if dropped:

@@ -1250,7 +1250,7 @@ def test_load_records_drops_partial_tail(tmp_path):
     rows.append({"generation": 2, "design": [0.0], "encoded": [500],
                  "score": 9.0, "status": "ok", "timestamp": 4})
     path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
-    buffer = load_records(path, population_size=2)
+    buffer = load_records(path, population_size=2, dimension=1)
     assert (buffer.n_generations, len(buffer)) == (2, 4)
     assert len(path.read_text().splitlines()) == 4
 
@@ -1267,7 +1267,7 @@ def test_failed_records_rewrite_keeps_the_old_file(tmp_path, monkeypatch):
 
     monkeypatch.setattr(rundir.os, "replace", refuse)
     with pytest.raises(OSError, match="killed"):
-        load_records(path, population_size=1)
+        load_records(path, population_size=1, dimension=1)
     assert [p.name for p in tmp_path.iterdir()] == ["records.jsonl"]
     assert path.read_bytes() == before
 
@@ -1276,20 +1276,20 @@ def test_load_records_rejects_corruption(tmp_path):
     path = tmp_path / "records.jsonl"
     path.write_text("{broken\n")
     with pytest.raises(ConfigError, match="not valid JSON"):
-        load_records(path, 2)
+        load_records(path, 2, 1)
     good = {"generation": 0, "design": [0.0], "encoded": [500],
             "score": 1.0, "status": "ok", "timestamp": 0}
     path.write_text(
         json.dumps(good) + "\n" + json.dumps({**good, "generation": 2}) + "\n"
     )
     with pytest.raises(ConfigError, match="out of order"):
-        load_records(path, 1)
+        load_records(path, 1, 1)
     path.write_text(
         json.dumps(good) + "\n" + json.dumps({**good, "generation": 1}) + "\n"
         + json.dumps({**good, "generation": 1}) + "\n"
     )
     with pytest.raises(ConfigError, match="interior generation"):
-        load_records(path, 2)
+        load_records(path, 2, 1)
     for line in (
         "[1, 2]",
         json.dumps({k: v for k, v in good.items() if k != "design"}),
@@ -1303,7 +1303,7 @@ def test_load_records_rejects_corruption(tmp_path):
     ):
         path.write_text(line + "\n")
         with pytest.raises(ConfigError, match="line 1"):
-            load_records(path, 1)
+            load_records(path, 1, 1)
 
 
 def test_load_records_refuses_what_json_only_looks_like(tmp_path):

@@ -23,7 +23,6 @@ from shapeopt.evolution import (
     encode_design,
     evaluate_designs,
     generation_rng,
-    rank_generations,
     run_optimization,
     sample_generation,
     select_records,
@@ -192,17 +191,25 @@ def test_record_status_validation():
 # --------------------------------------------------------------- selection
 
 def test_rank_generations_examples():
-    assert rank_generations(buffer_from_scores([[1.0]])) == [0]
-    assert rank_generations(buffer_from_scores([[1.0], [3.0], [2.0]])) == [0, 2, 1]
-    assert rank_generations(buffer_from_scores([[5.0], [5.0], [5.0]])) == [0, 1, 2]
-    with pytest.raises(ValueError):
-        rank_generations(RecordBuffer())
+    assert buffer_from_scores([[1.0]]).top_ranks(1) == [(1.0, 0)]
+    assert buffer_from_scores([[1.0], [3.0], [2.0]]).top_ranks(3) == [
+        (1.0, 0),
+        (2.0, 2),
+        (3.0, 1),
+    ]
+    assert buffer_from_scores([[5.0], [5.0], [5.0]]).top_ranks(3) == [
+        (5.0, 0),
+        (5.0, 1),
+        (5.0, 2),
+    ]
+    with pytest.raises(ValueError, match="empty"):
+        select_records(RecordBuffer())
 
 
 def test_rank_best_scores_non_decreasing():
     rng = np.random.default_rng(2)
     buffer = buffer_from_scores(rng.normal(size=(8, 4)).tolist())
-    order = rank_generations(buffer)
+    order = [g for _, g in buffer.top_ranks(8)]
     assert sorted(order) == list(range(8))
     bests = [buffer.best_in(g).score for g in order]
     assert all(a <= b for a, b in zip(bests, bests[1:]))
@@ -246,7 +253,7 @@ def test_rank_generations_matches_brute_force(score_lists):
     # few distinct scores, so most generations tie on their best
     buffer = buffer_from_scores(score_lists)
     bests = [max(scores) for scores in score_lists]
-    assert rank_generations(buffer) == sorted(range(len(bests)), key=lambda g: (bests[g], g))
+    assert buffer.top_ranks(len(bests)) == sorted(zip(bests, range(len(bests))))
 
 
 def test_rebuilt_buffer_ranks_like_the_written_one(tmp_path):
@@ -262,8 +269,7 @@ def test_rebuilt_buffer_ranks_like_the_written_one(tmp_path):
         writer(records)
     rebuilt = load_records(path, population_size=4, dimension=2)
     bests = [max(r.score for r in written.generation(g)) for g in range(60)]
-    brute = sorted(range(60), key=lambda g: (bests[g], g))
-    assert rank_generations(written) == rank_generations(rebuilt) == brute
+    assert written.top_ranks(60) == rebuilt.top_ranks(60) == sorted(zip(bests, range(60)))
 
 
 def test_select_records_reads_only_the_chosen_generations(monkeypatch):
@@ -457,9 +463,9 @@ def test_failing_evaluator_records_penalty():
 def test_parallel_evaluation_matches_serial():
     problem = QuadProblem()
     designs = np.random.default_rng(0).uniform(-1, 1, (16, 2))
-    serial = evaluate_designs(problem, designs, 0)
+    serial = evaluate_designs(problem, designs, 0, map, RecordBuffer())
     with ThreadPoolExecutor(max_workers=4) as pool:
-        parallel = evaluate_designs(problem, designs, 0, pool.map)
+        parallel = evaluate_designs(problem, designs, 0, pool.map, RecordBuffer())
     assert [r.score for r in serial] == [r.score for r in parallel]
 
 
@@ -508,7 +514,7 @@ def test_identical_designs_in_one_generation_share_one_call_on_a_pool():
     problem = CountingProblem()
     designs = np.array([[0.5, 0.5], [0.5, 0.5]])
     with ThreadPoolExecutor(max_workers=2) as pool:
-        records = evaluate_designs(problem, designs, 0, pool.map)
+        records = evaluate_designs(problem, designs, 0, pool.map, RecordBuffer())
     assert sum(problem.calls.values()) == 1
     assert [r.score for r in records] == [problem.evaluate(designs[0])] * 2
 

@@ -421,13 +421,20 @@ assert not loaded, loaded
     assert done.returncode == 0, done.stderr
 
 
+# Faults per warm evaluate that still pass.  With the pad, where the solve's
+# temporaries land depends on the heap layout that imports leave, which the
+# checkout's path and its compiled bytecode decide: n = 60 reads 0.05-1.6
+# across checkouts, and n = 120 and 400 at most 0.1.  Without the pad they
+# read 289-400, 1,345-1,409 and 3,189-3,663.  The bound sits far from both.
+_MAX_WARM_FAULTS_PER_EVALUATE = 10.0
+
+
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the heap pad is glibc's")
 def test_warm_campaign_solves_fault_in_no_pages():
     # Without the heap pad, glibc trims a solve's temporaries off the heap
-    # and the next solve faults them in again: 45-180 pages per evaluate at
-    # n = 120 in a mock campaign.  A bare loop of solves of one design
-    # does not show it; the campaign's own allocations between solves do.
-    # The heap's history decides, so the campaigns run in a fresh process.
+    # and the next solve faults them in again.  A bare loop of solves of one
+    # design does not show it; the campaign's own allocations between solves
+    # do.  The heap's history decides, so the campaigns run in a fresh process.
     script = """
 import contextlib, io, json, os, resource, tempfile
 from shapeopt import cli, problems
@@ -466,7 +473,7 @@ for n in (60, 120, 400):
     per_evaluate = dict(line.split() for line in done.stdout.splitlines())
     assert list(per_evaluate) == ["60", "120", "400"]
     for n, faults in per_evaluate.items():
-        assert float(faults) <= 1.0, (n, per_evaluate)
+        assert float(faults) <= _MAX_WARM_FAULTS_PER_EVALUATE, (n, per_evaluate)
 
 
 # ------------------------------------------------------------------- solve
