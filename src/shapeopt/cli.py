@@ -8,6 +8,7 @@ that let runs resume and replay bit-exactly, belong to ``rundir``.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -208,24 +209,33 @@ def _es_config(settings: dict, seed: int) -> EsConfig:
     )
 
 
-def _strategy(settings: dict, problem, audit: Callable[[dict], None]) -> AskStrategy:
+def _strategy(
+    settings: dict, problem, audit: Callable[[dict], None], stack: contextlib.ExitStack
+) -> AskStrategy:
+    """The seed's strategy; ``stack`` closes the chat client's connection."""
     if settings["optimizer"] == "ga":
         return GaSearch(GaConfig(**settings["ga"]))
     if settings["optimizer"] == "mock":
         return GaussianSearch(MockProposer())
     llm_cfg = LlmConfig(**settings["llm"])
-    return GaussianSearch(LlmProposer(llm_cfg, problem.objective, audit=audit))
+    proposer = stack.enter_context(
+        contextlib.closing(LlmProposer(llm_cfg, problem.objective, audit=audit))
+    )
+    return GaussianSearch(proposer)
 
 
 def run_single_seed(settings: dict, seed: int, resume: bool) -> Path:
     run_dir = Path(settings["output_dir"]) / f"seed_{seed}"
     problem = make_problem(settings)
     snapshot = {**settings, "seeds": [seed]}
-    try:
-        strategy = _strategy(settings, problem, rundir.audit_log(run_dir))
-    except ValueError as exc:  # the chat client refuses the API key
-        raise ConfigError(str(exc)) from exc
-    with rundir.open_run(run_dir, snapshot, problem.bounds, resume) as (buffer, writer):
+    with contextlib.ExitStack() as stack:
+        try:
+            strategy = _strategy(settings, problem, rundir.audit_log(run_dir), stack)
+        except ValueError as exc:  # the chat client refuses the API key
+            raise ConfigError(str(exc)) from exc
+        buffer, writer = stack.enter_context(
+            rundir.open_run(run_dir, snapshot, problem.bounds, resume)
+        )
         buffer = run_optimization(
             problem,
             strategy,

@@ -13,9 +13,9 @@ from __future__ import annotations
 import json
 import os
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
-from urllib.parse import urlsplit
+from urllib.parse import unquote, urlsplit, urlunsplit
 
 import numpy as np
 
@@ -59,6 +59,9 @@ _PRINTABLE = re.compile(r"[!-~]+")
 # Bytes of an error reply that its TransportError, and so the audit, quote:
 # room for a provider's reason, such as an exhausted quota, not a whole page.
 _ERROR_BODY_BYTES = 2048
+# Client errors that a later request can get past: a timeout, a conflict and
+# a rate limit.  Any other 4xx (a wrong key, model or URL) ends the proposal.
+_RETRIED_4XX = frozenset({408, 409, 429})
 _VECTOR_RE = re.compile(r"\[\s*[+-]?\d+(?:\s*,\s*[+-]?\d+)*\s*\]")
 
 
@@ -67,7 +70,14 @@ class ResponseParseError(ValueError):
 
 
 class TransportError(RuntimeError):
-    """The request never produced a reply (network, HTTP, or body shape)."""
+    """The request never produced a usable reply (network, HTTP, or body shape).
+
+    ``status`` is the HTTP status of an error reply, None when there was none.
+    """
+
+    def __init__(self, message: str, status: int | None = None) -> None:
+        super().__init__(message)
+        self.status = status
 
 
 def _is_http_url(text: str) -> bool:
@@ -183,7 +193,12 @@ def parse_mean_response(text: str, dimension: int) -> np.ndarray:
     matches = _VECTOR_RE.findall(text)
     if not matches:
         raise ResponseParseError("no bracketed integer list in the reply")
-    components = [int(tok) for tok in re.findall(r"[+-]?\d+", matches[-1])]
+    try:
+        components = [int(tok) for tok in re.findall(r"[+-]?\d+", matches[-1])]
+    except ValueError as exc:  # more digits than int() converts
+        raise ResponseParseError(
+            f"components must lie in [0, {ENCODING_STEPS}], got a number too long to convert"
+        ) from exc
     if len(components) != dimension:
         raise ResponseParseError(
             f"expected {dimension} components, got {len(components)}"
@@ -213,58 +228,133 @@ def _extract_text(body: object) -> str:
     raise TransportError(f"unsupported content type {type(content).__name__}")
 
 
-def _http_transport(cfg: LlmConfig) -> Callable[[dict], str]:
+class _HttpTransport:
     """A sender that POSTs each payload to the endpoint and returns the reply text.
 
-    Every request opens its own connection (urllib sends ``Connection:
-    close``).  Keep-alive would let a server that writes the headers and the
-    body as two segments without TCP_NODELAY, as ``http.server`` does, stall
-    every reply on a delayed ACK of about 40 ms.  Proxies come from the
-    ``*_proxy`` environment variables and TLS checks the system CA store.
-    An error status's TransportError quotes the start of the reply.  The
-    API key is read from the environment once, here.
+    It holds one HTTP/1.1 connection, opened on the first request and kept
+    for every later one, parse retries included.  Any failure closes it, so
+    a late reply can never answer a later request, and so does a reply that
+    ends the connection (HTTP/1.0, ``Connection: close``).  A connection the
+    server closed while it sat idle is dropped before the next request.
+
+    After each request it sets ``TCP_QUICKACK``.  A server that writes a
+    reply's headers and body as two segments without ``TCP_NODELAY``, as
+    ``http.server`` does, otherwise holds the body until the client's
+    delayed ACK of the headers, about 40 ms, on every reused connection.
+    Where the platform has no ``TCP_QUICKACK`` (or no ``poll``), every
+    request asks for ``Connection: close`` and gets its own connection.
+
+    Proxies come from the ``*_proxy`` environment variables, read here once;
+    an https endpoint is tunnelled through the proxy with CONNECT.  TLS
+    checks the system CA store.  Any status outside 2xx is an error whose
+    TransportError carries the status and quotes the start of the reply.
+    The API key is read from the environment once, here.
     """
-    # Imported here: only runs that call an endpoint pay for loading them.
-    import http.client
-    import urllib.error
-    import urllib.request
 
-    from . import __version__
+    def __init__(self, cfg: LlmConfig) -> None:
+        # Imported here: only runs that call an endpoint pay for loading them.
+        import http.client
+        import select
+        import socket
+        import urllib.request
 
-    opener = urllib.request.build_opener()
-    headers = {
-        "Content-Type": "application/json",
-        "User-Agent": f"shapeopt/{__version__}",
-    }
-    key = os.environ.get(cfg.api_key_env, "")
-    if key:
-        if not _PRINTABLE.fullmatch(key):  # the message must not quote the key
-            raise ValueError(f"${cfg.api_key_env} must be printable ASCII without spaces")
-        headers["Authorization"] = f"Bearer {key}"
+        from . import __version__
 
-    def send(payload: dict) -> str:
-        request = urllib.request.Request(
-            cfg.endpoint, data=json.dumps(payload).encode(), headers=headers
+        self._headers = {
+            "Content-Type": "application/json",
+            "User-Agent": f"shapeopt/{__version__}",
+        }
+        key = os.environ.get(cfg.api_key_env, "")
+        if key:
+            if not _PRINTABLE.fullmatch(key):  # the message must not quote the key
+                raise ValueError(f"${cfg.api_key_env} must be printable ASCII without spaces")
+            self._headers["Authorization"] = f"Bearer {key}"
+        self._keep_alive = hasattr(socket, "TCP_QUICKACK") and hasattr(select, "poll")
+        if not self._keep_alive:
+            self._headers["Connection"] = "close"
+
+        url = urlsplit(cfg.endpoint)
+        https = url.scheme == "https"
+        host, port = url.hostname, url.port or (443 if https else 80)
+        self._target = urlunsplit(("", "", url.path or "/", url.query, ""))
+        connection = http.client.HTTPSConnection if https else http.client.HTTPConnection
+        proxy = urllib.request.getproxies().get(url.scheme)
+        if proxy is None or urllib.request.proxy_bypass(url.netloc):
+            self._connection = connection(host, port, timeout=cfg.timeout)
+            return
+        proxy_url = urlsplit(proxy if "://" in proxy else "http://" + proxy)
+        self._connection = connection(
+            proxy_url.hostname, proxy_url.port or 80, timeout=cfg.timeout
         )
+        proxy_headers = {}
+        if proxy_url.username is not None:
+            import base64
+
+            credentials = f"{unquote(proxy_url.username)}:{unquote(proxy_url.password or '')}"
+            proxy_headers["Proxy-Authorization"] = (
+                "Basic " + base64.b64encode(credentials.encode()).decode()
+            )
+        if https:
+            self._connection.set_tunnel(host, port, headers=proxy_headers)
+        else:  # a plain-HTTP proxy takes the absolute URI
+            self._target = f"http://{url.netloc}{self._target}"
+            self._headers.update(proxy_headers)
+
+    def __call__(self, payload: dict) -> str:
+        sock = self._connection.sock
+        if sock is not None and _readable(sock):
+            self._connection.close()  # the server closed it while it sat idle
         try:
-            with opener.open(request, timeout=cfg.timeout) as response:
+            text = self._exchange(json.dumps(payload).encode())
+        except BaseException:
+            self._connection.close()  # so that no late reply answers a later request
+            raise
+        if not self._keep_alive:
+            self._connection.close()
+        return text
+
+    def close(self) -> None:
+        """Close the connection; the next request opens a new one."""
+        self._connection.close()
+
+    def _exchange(self, body: bytes) -> str:
+        import http.client
+        import socket
+
+        connection = self._connection
+        try:
+            connection.request("POST", self._target, body, self._headers)
+            if self._keep_alive:
+                connection.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_QUICKACK, 1)
+            # On will_close the reply takes over the socket, and closing it closes that.
+            with connection.getresponse() as response:
+                if not 200 <= response.status < 300:
+                    try:
+                        detail = response.read(_ERROR_BODY_BYTES)
+                    except (OSError, http.client.HTTPException):
+                        detail = b""
+                    raise TransportError(
+                        f"request failed: HTTP {response.status} {response.reason}:"
+                        f" {detail.decode('utf-8', errors='replace')}",
+                        status=response.status,
+                    )
                 raw = response.read()
-        except urllib.error.HTTPError as exc:
-            with exc:  # closes the reply
-                try:
-                    body = exc.read(_ERROR_BODY_BYTES).decode("utf-8", errors="replace")
-                except (OSError, http.client.HTTPException):
-                    body = ""
-            raise TransportError(f"request failed: HTTP {exc.code} {exc.reason}: {body}") from exc
-        except (OSError, http.client.HTTPException) as exc:  # URLError is an OSError
+        except (OSError, http.client.HTTPException) as exc:
             raise TransportError(f"request failed: {exc}") from exc
         try:
-            body = json.loads(raw)
+            reply = json.loads(raw)
         except ValueError as exc:  # also a bad UTF-8 body
             raise TransportError(f"response is not JSON: {exc}") from exc
-        return _extract_text(body)
+        return _extract_text(reply)
 
-    return send
+
+def _readable(sock) -> bool:
+    """Whether an idle socket has something to read: the server's close, or stray bytes."""
+    import select
+
+    poller = select.poll()
+    poller.register(sock, select.POLLIN)
+    return bool(poller.poll(0))
 
 
 def no_audit(entry: dict) -> None:
@@ -282,7 +372,8 @@ def propose_mean_via_llm(
     Each attempt sends the conversation so far; a parse failure appends the
     bad reply plus a format reminder before retrying, a transport failure
     retries the same payload.  Both kinds consume attempts
-    (max_retries + 1 in total) before the proposer gives up.  ``audit``
+    (max_retries + 1 in total) before the proposer gives up, except that a
+    4xx status other than 408, 409 and 429 gives up at once.  ``audit``
     gets one entry per attempt.
     """
     messages = [
@@ -302,7 +393,10 @@ def propose_mean_via_llm(
             text = transport(payload)
         except TransportError as exc:
             last_error = exc
-            audit({**sent, "response": None, "error": str(exc)})
+            audit({**sent, "response": None, "error": str(exc), "status": exc.status})
+            status = exc.status
+            if status is not None and 400 <= status < 500 and status not in _RETRIED_4XX:
+                raise ProposerError(f"no retry after HTTP {status}: {exc}") from exc
             continue
         try:
             mean = parse_mean_response(text, bundle.dimension)
@@ -352,10 +446,16 @@ class LlmProposer:
     objective: str
     transport: Callable[[dict], str] | None = None
     audit: Callable[[dict], None] = no_audit
+    _built: _HttpTransport | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.transport is None:
-            self.transport = _http_transport(self.config)
+            self.transport = self._built = _HttpTransport(self.config)
+
+    def close(self) -> None:
+        """Close the connection of a transport built here; an injected one is the caller's."""
+        if self._built is not None:
+            self._built.close()
 
     def propose(self, records: Sequence[ScoredRecord], bounds: Bounds) -> np.ndarray:
         bundle = build_prompt(records, bounds, self.objective)

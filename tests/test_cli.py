@@ -1031,7 +1031,8 @@ def test_run_without_llm_does_not_import_requests(tmp_path):
 import sys
 from shapeopt.cli import main
 assert main(["run", "--config", {config!r}]) == 0
-loaded = [name for name in ("requests", "urllib.request", "ssl") if name in sys.modules]
+loaded = [name for name in ("requests", "urllib.request", "http.client", "ssl")
+          if name in sys.modules]
 assert not loaded, f"a mock run imported {{loaded}}"
 """)
     assert (tmp_path / "run" / "seed_0" / "records.jsonl").exists()

@@ -1,9 +1,15 @@
 """Prompt rendering, reply parsing, retry policy, and the offline proposer."""
 
+import base64
 import gc
 import json
 import math
+import os
+import socket
+import threading
+import time
 import warnings
+from urllib.parse import urlsplit
 
 import numpy as np
 import pytest
@@ -22,7 +28,7 @@ from shapeopt.llm import (
     ResponseParseError,
     TransportError,
     _extract_text,
-    _http_transport,
+    _HttpTransport,
     build_prompt,
     format_reminder,
     mock_propose,
@@ -147,6 +153,9 @@ def test_parse_error_taxonomy():
         ("[1, 2, 3]", "expected 2 components, got 3"),
         ("[0, 1001]", r"components must lie in \[0, 1000\], got \[0, 1001\]"),
         ("[-1, 5]", r"components must lie in \[0, 1000\], got \[-1, 5\]"),
+        # past int()'s default digit limit
+        ("[" + "9" * 5000 + ", 1]", r"components must lie in \[0, 1000\]"),
+        ("[" + "0" * 5000 + ", 1]", r"components must lie in \[0, 1000\]"),
     ):
         with pytest.raises(ResponseParseError, match=message):
             parse_mean_response(text, 2)
@@ -297,6 +306,26 @@ def test_zero_retries_means_one_attempt():
     assert len(transport.payloads) == 1
 
 
+@pytest.mark.parametrize("status", [400, 401, 403, 404, 422])
+def test_a_client_error_status_ends_the_proposal_at_once(status):
+    entries = []
+    transport = ScriptedTransport([TransportError("refused", status=status), "[1, 2]"])
+    with pytest.raises(ProposerError, match=f"no retry after HTTP {status}"):
+        propose_mean_via_llm(make_bundle(), make_config(), transport, entries.append)
+    assert len(transport.payloads) == 1
+    assert [(e["status"], e["error"]) for e in entries] == [(status, "refused")]
+
+
+@pytest.mark.parametrize("status", [None, 408, 409, 429, 500, 503])
+def test_other_transport_errors_are_retried(status):
+    entries = []
+    transport = ScriptedTransport([TransportError("busy", status=status), "[1, 2]"])
+    mean = propose_mean_via_llm(make_bundle(), make_config(), transport, entries.append)
+    assert np.array_equal(mean, [1, 2])
+    assert entries[0]["status"] == status
+    assert "status" not in entries[1]  # only error entries of the transport carry it
+
+
 def test_audit_log_one_line_per_attempt():
     entries = []
     transport = ScriptedTransport(["gibberish", "[7, 8]"])
@@ -364,6 +393,18 @@ def test_llm_proposer_end_to_end():
     assert "maximize reward" in transport.payloads[0]["messages"][1]["content"]
 
 
+def test_llm_proposer_leaves_an_injected_transport_open():
+    class Closable(ScriptedTransport):
+        closed = 0
+
+        def close(self):
+            self.closed += 1
+
+    transport = Closable([])
+    LlmProposer(make_config(), "obj", transport=transport).close()
+    assert transport.closed == 0
+
+
 def test_content_block_list_replies_are_joined():
     body = {
         "choices": [
@@ -422,7 +463,7 @@ PAYLOAD = {
 def test_http_transport_round_trip(local_endpoint, chat_handler, monkeypatch):
     monkeypatch.setenv("SHAPEOPT_API_KEY", "sk-unit-test")
     cfg = LlmConfig(endpoint=local_endpoint, model="m")
-    mean = propose_mean_via_llm(make_bundle(), cfg, _http_transport(cfg))
+    mean = propose_mean_via_llm(make_bundle(), cfg, _HttpTransport(cfg))
     assert np.array_equal(mean, [42, 24])
     seen = chat_handler.seen[0]
     assert seen["auth"] == "Bearer sk-unit-test"
@@ -433,12 +474,12 @@ def test_http_transport_round_trip(local_endpoint, chat_handler, monkeypatch):
 def test_http_transport_no_key_sends_no_auth_header(local_endpoint, chat_handler, monkeypatch):
     monkeypatch.delenv("SHAPEOPT_API_KEY", raising=False)
     cfg = LlmConfig(endpoint=local_endpoint, model="m")
-    propose_mean_via_llm(make_bundle(), cfg, _http_transport(cfg))
+    propose_mean_via_llm(make_bundle(), cfg, _HttpTransport(cfg))
     assert chat_handler.seen[0]["auth"] is None
 
 
 def test_http_transport_sends_the_payload_as_json_with_its_user_agent(local_endpoint, chat_handler):
-    send = _http_transport(LlmConfig(endpoint=local_endpoint, model="m"))
+    send = _HttpTransport(LlmConfig(endpoint=local_endpoint, model="m"))
     assert send(PAYLOAD) == "[42, 24]"
     assert send(PAYLOAD) == "[42, 24]"  # one sender serves every request
     assert [seen["body"] for seen in chat_handler.seen] == [PAYLOAD, PAYLOAD]
@@ -450,45 +491,50 @@ def test_http_transport_sends_the_payload_as_json_with_its_user_agent(local_endp
 def test_http_transport_refuses_a_key_no_header_can_carry(key, monkeypatch):
     monkeypatch.setenv("SHAPEOPT_API_KEY", key)
     with pytest.raises(ValueError, match="SHAPEOPT_API_KEY must be printable ASCII") as excinfo:
-        _http_transport(make_config())
+        _HttpTransport(make_config())
     assert "sk" not in str(excinfo.value)
 
 
-def test_http_error_status_is_transport_error_and_closes_the_reply(local_endpoint, chat_handler):
+def test_http_error_status_is_transport_error_and_closes_the_reply(keepalive_endpoint, chat_handler):
     chat_handler.status = 500
     chat_handler.answer = b'{"error": "quota \xff exhausted"}' + b" " * 4000 + b"tail"
-    send = _http_transport(LlmConfig(endpoint=local_endpoint, model="m"))
+    send = _HttpTransport(LlmConfig(endpoint=keepalive_endpoint, model="m"))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with pytest.raises(TransportError, match="HTTP 500") as excinfo:
             send(PAYLOAD)
+        assert excinfo.value.status == 500
         # the provider's reason, undecodable bytes replaced, and 2 KB at most
         assert '{"error": "quota \ufffd exhausted"}' in str(excinfo.value)
         assert "tail" not in str(excinfo.value)
-        # Not every Python warns when an unclosed reply is collected.
-        assert excinfo.value.__cause__.fp.isclosed()
+        # The unread rest of the reply is dropped with its connection.
+        del chat_handler.status, chat_handler.answer
+        assert send(PAYLOAD) == "[42, 24]"
+        send.close()
         del excinfo
         gc.collect()
     assert [str(w.message) for w in caught] == []
+    assert chat_handler.connections == 2
 
 
 def test_http_transport_times_out_as_transport_error(local_endpoint, chat_handler):
     chat_handler.stall = 0.6
-    send = _http_transport(LlmConfig(endpoint=local_endpoint, model="m", timeout=0.2))
-    with pytest.raises(TransportError):
+    send = _HttpTransport(LlmConfig(endpoint=local_endpoint, model="m", timeout=0.2))
+    with pytest.raises(TransportError) as excinfo:
         send(PAYLOAD)  # the reply would arrive, unusable only by its lateness
+    assert excinfo.value.status is None
 
 
 def test_http_transport_connection_refused_is_transport_error():
     cfg = LlmConfig(endpoint="http://127.0.0.1:9/v1", model="m", timeout=1.0)
-    send = _http_transport(cfg)
+    send = _HttpTransport(cfg)
     with pytest.raises(TransportError):
         send({"model": "m", "temperature": 0.0, "messages": []})
 
 
 def test_http_transport_non_json_body_is_transport_error(local_endpoint, chat_handler):
     chat_handler.answer = b"<html>busy</html>"
-    send = _http_transport(LlmConfig(endpoint=local_endpoint, model="m"))
+    send = _HttpTransport(LlmConfig(endpoint=local_endpoint, model="m"))
     with pytest.raises(TransportError, match="response is not JSON"):
         send({"model": "m", "temperature": 0.0, "messages": []})
     assert len(chat_handler.seen) == 1
@@ -514,3 +560,159 @@ def test_cli_run_audits_each_proposal(local_endpoint, tmp_path):
     # two proposed generations after the two seeded ones, one attempt each
     assert [e["parsed"] for e in entries] == [[42, 24], [42, 24]]
     assert audits[1] == audits[0]
+
+
+def echo_last_message(body):
+    """A reply whose text is the request's last message: it names its request."""
+    content = body["messages"][-1]["content"]
+    return json.dumps({"choices": [{"message": {"content": content}}]}).encode()
+
+
+def asking(text):
+    return {**PAYLOAD, "messages": [{"role": "user", "content": text}]}
+
+
+needs_keep_alive = pytest.mark.skipif(
+    not hasattr(socket, "TCP_QUICKACK"), reason="connections are kept only with TCP_QUICKACK"
+)
+
+
+@needs_keep_alive
+def test_a_kept_connection_waits_for_no_delayed_ack(keepalive_endpoint, chat_handler):
+    # The stand-in sends each reply as two segments with Nagle's algorithm on,
+    # so a client that delays its ACK of the headers stalls about 40 ms a reply.
+    send = _HttpTransport(LlmConfig(endpoint=keepalive_endpoint, model="m"))
+    start = time.perf_counter()
+    for _ in range(20):
+        assert send(PAYLOAD) == "[42, 24]"
+    elapsed = time.perf_counter() - start
+    send.close()
+    assert elapsed < 0.5
+    assert chat_handler.connections == 1
+    assert {seen["connection"] for seen in chat_handler.seen} == {None}
+
+
+def test_without_quickack_each_request_has_its_own_connection(
+    keepalive_endpoint, chat_handler, monkeypatch
+):
+    monkeypatch.delattr(socket, "TCP_QUICKACK", raising=False)
+    send = _HttpTransport(LlmConfig(endpoint=keepalive_endpoint, model="m"))
+    for _ in range(3):
+        assert send(PAYLOAD) == "[42, 24]"
+    assert [seen["connection"] for seen in chat_handler.seen] == ["close"] * 3
+    assert chat_handler.connections == 3
+
+
+def test_a_reply_too_late_for_its_request_answers_no_later_one(keepalive_endpoint, chat_handler):
+    chat_handler.answer = echo_last_message
+    chat_handler.hold = threading.Event()
+    send = _HttpTransport(LlmConfig(endpoint=keepalive_endpoint, model="m", timeout=0.2))
+    with pytest.raises(TransportError, match="timed out"):
+        send(asking("first"))
+    chat_handler.hold.set()  # the stand-in now answers "first", to no one
+    assert send(asking("second")) == "second"
+    send.close()
+    assert chat_handler.connections == 2
+
+
+def test_a_connection_the_server_closed_while_idle_costs_no_attempt(
+    keepalive_endpoint, chat_handler
+):
+    chat_handler.timeout = 0.1  # the stand-in drops a connection idle this long
+    cfg = LlmConfig(endpoint=keepalive_endpoint, model="m", max_retries=0)
+    send = _HttpTransport(cfg)
+    assert send(PAYLOAD) == "[42, 24]"
+    time.sleep(0.5)
+    assert np.array_equal(propose_mean_via_llm(make_bundle(), cfg, send), [42, 24])
+    send.close()
+    assert chat_handler.connections == 2
+
+
+def llm_run(tmp_path, endpoint, **settings):
+    """``shapeopt run`` of the 2-dimensional analytic problem; its exit code."""
+    doc = {
+        "problem": "analytic_test",
+        "optimizer": "llm",
+        "dimension": 2,
+        "budget": 4,
+        "n_ini": 2,
+        **settings,
+        "llm": {"endpoint": endpoint, "model": "m", "max_retries": 2},
+    }
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    return cli.main(["run", "--config", str(config), "--out", str(tmp_path / "run")])
+
+
+@needs_keep_alive
+def test_each_seed_closes_its_connection(keepalive_endpoint, chat_handler, tmp_path):
+    # The stand-in serves one connection at a time, so a connection left open
+    # by seed 0 would hold up seed 1 for the handler's 5 s timeout.
+    start = time.monotonic()
+    assert llm_run(tmp_path, keepalive_endpoint, seeds=[0, 1]) == 0
+    assert time.monotonic() - start < 2.5
+    assert len(chat_handler.seen) == 4
+    assert chat_handler.connections == 2
+
+
+@pytest.mark.parametrize("status, requests", [(401, 1), (503, 3)])
+def test_an_error_status_ends_the_run_at_once_only_if_a_retry_cannot_heal_it(
+    local_endpoint, chat_handler, tmp_path, status, requests
+):
+    chat_handler.status = status
+    chat_handler.answer = b'{"error": "invalid api key"}'
+    assert llm_run(tmp_path, local_endpoint) == cli.EXIT_PROPOSER
+    assert len(chat_handler.seen) == requests
+    audit = (tmp_path / "run" / "seed_0" / "llm_audit.jsonl").read_text().splitlines()
+    entries = [json.loads(line) for line in audit]
+    assert [e["status"] for e in entries] == [status] * requests
+    assert all('{"error": "invalid api key"}' in e["error"] for e in entries)
+
+
+def test_a_reply_with_a_huge_integer_gets_the_format_reminder(
+    local_endpoint, chat_handler, tmp_path
+):
+    chat_handler.answer = json.dumps(
+        {"choices": [{"message": {"content": "[" + "9" * 5000 + ", 1]"}}]}
+    ).encode()
+    assert llm_run(tmp_path, local_endpoint) == cli.EXIT_PROPOSER
+    assert len(chat_handler.seen) == 3
+    last = chat_handler.seen[-1]["body"]["messages"]
+    assert [m["content"] for m in last[3::2]] == [format_reminder(2)] * 2
+
+
+@pytest.fixture
+def no_proxies(monkeypatch):
+    for name in list(os.environ):
+        if name.lower().endswith("_proxy"):
+            monkeypatch.delenv(name)
+    return monkeypatch
+
+
+def test_http_proxy_gets_the_absolute_uri(local_endpoint, chat_handler, no_proxies):
+    proxy = urlsplit(local_endpoint).netloc
+    no_proxies.setenv("http_proxy", f"http://user:p%40ss@{proxy}")
+    send = _HttpTransport(LlmConfig(endpoint="http://unit.test:8080/v1/chat?x=1", model="m"))
+    assert send(PAYLOAD) == "[42, 24]"
+    seen = chat_handler.seen[0]
+    assert seen["path"] == "http://unit.test:8080/v1/chat?x=1"
+    assert seen["host"] == "unit.test:8080"
+    assert seen["proxy_auth"] == "Basic " + base64.b64encode(b"user:p@ss").decode()
+
+
+def test_no_proxy_bypasses_the_proxy(local_endpoint, chat_handler, no_proxies):
+    no_proxies.setenv("http_proxy", "http://127.0.0.1:9")  # nothing listens there
+    no_proxies.setenv("no_proxy", "127.0.0.1")
+    send = _HttpTransport(LlmConfig(endpoint=local_endpoint, model="m", timeout=1.0))
+    assert send(PAYLOAD) == "[42, 24]"
+    assert chat_handler.seen[0]["path"] == "/v1/chat/completions"
+
+
+def test_an_https_endpoint_is_tunnelled_through_the_proxy(local_endpoint, chat_handler, no_proxies):
+    no_proxies.setenv("https_proxy", "http://user:pw@" + urlsplit(local_endpoint).netloc)
+    send = _HttpTransport(LlmConfig(endpoint="https://unit.test:8443/v1", model="m"))
+    with pytest.raises(TransportError, match="Tunnel connection failed: 502"):
+        send(PAYLOAD)
+    assert chat_handler.seen == [
+        {"path": "unit.test:8443", "proxy_auth": "Basic " + base64.b64encode(b"user:pw").decode()}
+    ]
