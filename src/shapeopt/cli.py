@@ -36,7 +36,7 @@ from .ga import GaConfig, GaSearch
 from .llm import LlmConfig, LlmProposer, MockProposer
 from .problems import AirfoilProblem, AxisymDragProblem, QuadraticProblem
 # RecordWriter and load_records stay reachable here: benchmark hooks patch them on cli.
-from .rundir import ConfigError, RecordWriter, fits, load_records, require  # noqa: F401
+from .rundir import ConfigError, RecordWriter, load_records, require  # noqa: F401
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -95,13 +95,23 @@ CONFIG_KEYS = (
     Key("ga.mutation_sigma", GaConfig.mutation_sigma, "number?"),
 )
 
+_JSON_TYPES = {"integer": int, "number": (int, float), "string": str}
+
+
+def _fits(kind: str, value) -> bool:
+    if kind.endswith("?"):
+        return value is None or _fits(kind[:-1], value)
+    if kind.endswith(" list"):
+        return isinstance(value, list) and all(_fits(kind[:-5], v) for v in value)
+    return isinstance(value, _JSON_TYPES[kind]) and not isinstance(value, bool)
+
 
 def _read_key(key: Key, value):
     """Check one value against its row; numbers come back as floats."""
     name, _, kind, _, choices = key
     require(value is not REQUIRED, f"{name} is required")
     null = " or null" if kind.endswith("?") else ""
-    require(fits(kind, value), f"{name} must be a JSON {kind.rstrip('?')}{null}")
+    require(_fits(kind, value), f"{name} must be a JSON {kind.rstrip('?')}{null}")
     if value is None:
         return None
     require(value != [] and value != "", f"{name} must not be empty")
@@ -115,22 +125,23 @@ def _read_key(key: Key, value):
     return float(value) if kind.startswith("number") else value
 
 
-def _read_block(doc, block: str) -> dict:
-    """Values of the table rows one JSON object holds, defaults filled in."""
+def _read_block(doc, block: str = "") -> dict:
+    """Values of the table rows that apply, defaults filled in: the rows of
+    ``block``, or at the top level the problem's rows, then the optimizer's
+    block.  Any other key of ``doc`` is unknown: none is ignored unread.
+    """
     label = f"{block} config" if block else "config"
     require(isinstance(doc, dict), f"{label} must be a JSON object")
-    rows = {
-        key.name.rpartition(".")[2]: key
-        for key in CONFIG_KEYS
-        if key.name.rpartition(".")[0] == block
-    }
-    known = set(rows) if block else {key.name.partition(".")[0] for key in CONFIG_KEYS}
-    unknown = set(doc) - known
-    require(not unknown, f"unknown {label} keys: {sorted(unknown)}")
     values: dict = {}
-    for name, key in rows.items():  # "problem" comes first
-        if not key.problems or values["problem"] in key.problems:
+    for key in CONFIG_KEYS:  # "problem" comes first
+        owner, _, name = key.name.rpartition(".")
+        if owner == block and (not key.problems or values["problem"] in key.problems):
             values[name] = _read_key(key, doc.get(name, key.default))
+    optimizer = values.get("optimizer")
+    if optimizer in ("llm", "ga"):
+        values[optimizer] = _read_block(doc.get(optimizer, {}), optimizer)
+    unknown = set(doc) - set(values)
+    require(not unknown, f"unknown {label} keys: {sorted(unknown)}")
     return values
 
 
@@ -146,12 +157,11 @@ def parse_config(raw: dict) -> dict:
     a run builds it (see ``run_single_seed``).
     """
     try:
-        settings = _read_block(raw, "")
+        settings = _read_block(raw)
         seeds = settings["seeds"]
         require(len(set(seeds)) == len(seeds), "seeds must be distinct")
         block = settings["optimizer"]
         if block in ("llm", "ga"):
-            settings[block] = _read_block(raw.get(block, {}), block)
             (LlmConfig if block == "llm" else GaConfig)(**settings[block])
         for seed in seeds:
             _es_config(settings, seed)
@@ -363,7 +373,7 @@ def cmd_evaluate(
     )
     try:
         design = np.array(
-            [float(tok) for tok in design_text.replace(" ", "").split(",") if tok],
+            [float(tok) for tok in design_text.replace(" ", "").split(",")],
             dtype=float,
         )
     except ValueError as exc:

@@ -249,9 +249,6 @@ class RecordBuffer:
         """Score of an ``ok`` record with these exact design bits, else None."""
         return self._scores.get(_design_key(design))
 
-    def all_records(self) -> list[ScoredRecord]:
-        return [record for gen in self._generations for record in gen]
-
     def best_in(self, index: int) -> ScoredRecord:
         """Best record of one generation; ties keep evaluation order."""
         return self._bests[index]

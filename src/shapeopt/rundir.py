@@ -22,9 +22,8 @@ import numpy as np
 from .axisym import BodyProfile
 from .evolution import Bounds, RecordBuffer, ScoredRecord, encode_design
 
-_JSON_TYPES = {"integer": int, "number": (int, float), "string": str}
 # Exact types of a parsed JSON number, so bool (an int subclass) is none.
-_NUMBER_TYPES = frozenset(_JSON_TYPES["number"])
+_NUMBER_TYPES = frozenset({int, float})
 
 
 class ConfigError(ValueError):
@@ -34,14 +33,6 @@ class ConfigError(ValueError):
 def require(condition: bool, message: str) -> None:
     if not condition:
         raise ConfigError(message)
-
-
-def fits(kind: str, value) -> bool:
-    if kind.endswith("?"):
-        return value is None or fits(kind[:-1], value)
-    if kind.endswith(" list"):
-        return isinstance(value, list) and all(fits(kind[:-5], v) for v in value)
-    return isinstance(value, _JSON_TYPES[kind]) and not isinstance(value, bool)
 
 
 @contextmanager
@@ -106,8 +97,8 @@ def _read_record(entry, dimension: int, where: str) -> ScoredRecord:
     """One parsed records line as a ScoredRecord, or a ConfigError naming it.
 
     A resume reads every line, so messages are formatted only on failure,
-    and values are checked by their exact types, not with ``fits``: a
-    parsed line holds only JSON's own types.
+    and values are checked by their exact types: a parsed line holds only
+    JSON's own types.
     """
     if not isinstance(entry, dict):
         raise ConfigError(f"{where} is not a JSON object")

@@ -346,6 +346,28 @@ def test_constant_settings_are_unknown_keys(tmp_path, capsys, key):
     assert not out.exists()
 
 
+# Keys of another problem, or the block of another optimizer, are not read,
+# so they are unknown, whatever their values.
+@pytest.mark.parametrize(
+    "doc, key",
+    [
+        ({**ANALYTIC, "llm": 5}, "llm"),
+        ({**ANALYTIC, "ga": {"blend_alpha": "x"}}, "ga"),
+        ({**ANALYTIC, "llm": LLM_BLOCK}, "llm"),
+        ({**ANALYTIC, "K": "abc"}, "K"),
+        ({**AXISYM_TINY, "evaluator_command": []}, "evaluator_command"),
+    ],
+)
+def test_keys_that_do_not_apply_are_unknown(tmp_path, capsys, doc, key):
+    out = tmp_path / "runs"
+    config = write_config(tmp_path, {**doc, "output_dir": str(out)})
+    assert run_cli("run", "--config", config) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert f"keys: ['{key}']" in err
+    assert not out.exists()
+
+
 # Integers stay small apart from two that overflow: parse_config builds the
 # problem, and its arrays grow with "dimension".
 JSON_SCALARS = (
@@ -393,6 +415,7 @@ def test_parse_config_returns_settings_or_config_error(doc):
     except ConfigError:
         return
     assert parsed["problem"] in PROBLEMS and parsed["optimizer"] in OPTIMIZERS
+    assert set(doc) <= set(parsed)  # an accepted key is a read key
 
 
 # Documents that run in milliseconds when valid: each key has a small valid
@@ -1641,6 +1664,9 @@ def test_evaluate_rejects_bad_designs(tmp_path, capsys):
     assert run_cli("evaluate", "--config", config, "--design", "0.1") == EXIT_CONFIG
     assert run_cli("evaluate", "--config", config, "--design", "2.0,0.0") == EXIT_CONFIG
     assert run_cli("evaluate", "--config", config, "--design", "a,b") == EXIT_CONFIG
+    for empty in ("0.1,,0.2", "0.1,0.2,"):
+        assert run_cli("evaluate", "--config", config, "--design", empty) == EXIT_CONFIG
+        assert "cannot parse design vector" in capsys.readouterr().err
 
 
 # ------------------------------------------------------------------ exit codes

@@ -30,6 +30,11 @@ from shapeopt.evolution import (
 from shapeopt.rundir import RecordWriter, load_records
 
 
+def every_record(buffer):
+    """The buffer's records in evaluation order, generation by generation."""
+    return [r for g in range(buffer.n_generations) for r in buffer.generation(g)]
+
+
 def set_selection(monkeypatch, top, recent, designs):
     monkeypatch.setattr(evolution, "TOP_GENERATIONS", top)
     monkeypatch.setattr(evolution, "RECENT_GENERATIONS", recent)
@@ -424,7 +429,7 @@ def test_bit_reproducibility():
     cfg = EsConfig(budget=12, population_size=4, seed=3)
     a = run_optimization(problem, GaussianSearch(CentroidProposer()), cfg)
     b = run_optimization(problem, GaussianSearch(CentroidProposer()), cfg)
-    for ra, rb in zip(a.all_records(), b.all_records()):
+    for ra, rb in zip(every_record(a), every_record(b)):
         assert ra.score == rb.score
         assert np.array_equal(ra.design, rb.design)
 
@@ -441,7 +446,7 @@ def test_resume_matches_uninterrupted():
     resumed = run_optimization(
         problem, GaussianSearch(CentroidProposer()), cfg, initial_buffer=part
     )
-    for ra, rb in zip(full.all_records(), resumed.all_records()):
+    for ra, rb in zip(every_record(full), every_record(resumed)):
         assert ra.score == rb.score and np.array_equal(ra.design, rb.design)
 
 
@@ -454,7 +459,7 @@ def test_failing_evaluator_records_penalty():
     problem = FailingProblem()
     cfg = EsConfig(budget=4, population_size=3, seed=0)
     buffer = run_optimization(problem, GaussianSearch(CentroidProposer()), cfg)
-    records = buffer.all_records()
+    records = every_record(buffer)
     assert len(records) == 12
     assert all(r.score == problem.penalty_score for r in records)
     assert all(r.status == "failed" for r in records)
@@ -542,7 +547,7 @@ def test_non_finite_score_is_a_failed_design(value):
     problem = NonFinite()
     cfg = EsConfig(budget=2, population_size=2, seed=0)
     buffer = run_optimization(problem, FixedAsk([[0.1, 0.2], [0.3, 0.4]]), cfg)
-    for record in buffer.all_records():
+    for record in every_record(buffer):
         assert record.status == "failed" and record.score == problem.penalty_score
         assert buffer.known_score(record.design) is None
 

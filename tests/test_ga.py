@@ -21,6 +21,11 @@ from shapeopt.rundir import RecordWriter, load_records
 BOUNDS = Bounds.uniform(3, -1.0, 1.0)
 
 
+def every_record(buffer):
+    """The buffer's records in evaluation order, generation by generation."""
+    return [r for g in range(buffer.n_generations) for r in buffer.generation(g)]
+
+
 def set_operators(monkeypatch, **constants):
     """Override ga's operator constants, given by lower-case name."""
     for name, value in constants.items():
@@ -131,7 +136,7 @@ def test_run_zero_steps_evaluates_initial_population():
     assert buffer.n_generations == 1
     assert len(buffer) == 5
     seeding = problem.bounds.central()
-    for record in buffer.all_records():
+    for record in every_record(buffer):
         assert seeding.contains(record.design)
 
 
@@ -160,7 +165,7 @@ def test_reproducible_runs():
     config = EsConfig(budget=9, population_size=6, seed=12)
     a = run_ga(problem, GaConfig(), config)
     b = run_ga(problem, GaConfig(), config)
-    for ra, rb in zip(a.all_records(), b.all_records()):
+    for ra, rb in zip(every_record(a), every_record(b)):
         assert ra.score == rb.score
         assert np.array_equal(ra.design, rb.design)
 
@@ -173,7 +178,7 @@ def test_resume_matches_uninterrupted():
     partial = run_ga(problem, cfg, EsConfig(budget=5, population_size=6, seed=9))
     resumed = run_ga(problem, cfg, config, initial_buffer=partial)
     assert resumed.n_generations == 11
-    for ra, rb in zip(full.all_records(), resumed.all_records()):
+    for ra, rb in zip(every_record(full), every_record(resumed)):
         assert ra.score == rb.score and np.array_equal(ra.design, rb.design)
 
 
@@ -207,7 +212,7 @@ def test_explicit_init_range_is_honored():
     config = EsConfig(budget=1, population_size=6)
     buffer = run_ga(NarrowSeeding(), GaConfig(), config)
     assert len(buffer) == 6
-    for record in buffer.all_records():
+    for record in every_record(buffer):
         assert np.all(record.design >= 0.9) and np.all(record.design <= 1.0)
 
 
@@ -235,7 +240,7 @@ def test_each_distinct_design_is_scored_once(tmp_path, monkeypatch):
     buffer = run_ga(
         problem, GaConfig(), config, on_generation=RecordWriter(memo, problem.bounds)
     )
-    distinct = {record.design.tobytes() for record in buffer.all_records()}
+    distinct = {record.design.tobytes() for record in every_record(buffer)}
     # every generation after the first copies the elite of the one before
     assert len(distinct) <= len(buffer) - 19
     assert set(problem.calls) == distinct
@@ -257,7 +262,7 @@ def test_resume_scores_no_design_already_ok_on_disk(tmp_path):
     first_two = EsConfig(budget=2, population_size=6, seed=9)
     run_ga(problem, GaConfig(), first_two, on_generation=RecordWriter(cut, bounds))
     on_disk = load_records(cut, 6, 3)
-    stored = {r.design.tobytes() for r in on_disk.all_records() if r.status == "ok"}
+    stored = {r.design.tobytes() for r in every_record(on_disk) if r.status == "ok"}
     counting = CountingQuadratic(dimension=3)
     writer = RecordWriter(cut, bounds, start_index=len(on_disk))
     run_ga(counting, GaConfig(), config, initial_buffer=on_disk, on_generation=writer)
