@@ -37,11 +37,14 @@ from .llm import LlmConfig, LlmProposer, MockProposer
 from .problems import AirfoilProblem, AxisymDragProblem, QuadraticProblem
 # RecordWriter and load_records stay reachable here: benchmark hooks patch them on cli.
 from .rundir import ConfigError, RecordWriter, load_records, require  # noqa: F401
+from .rundir import WriteError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_PROPOSER = 3
 EXIT_EVALUATOR = 4
+EXIT_WRITE = 5
+EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports a Ctrl-C
 
 PROBLEMS = ("airfoil", "axisym_volume", "axisym_area", "analytic_test")
 OPTIMIZERS = ("llm", "mock", "ga")
@@ -466,6 +469,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    # Only a run keeps what it wrote for a later --resume.
+    resume = "; continue with --resume" if args.command == "run" else ""
     try:
         if args.command == "run":
             return cmd_run(args.config, args.out, args.resume)
@@ -485,6 +490,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     except EvaluatorFatal as exc:
         print(f"evaluator failure: {exc}", file=sys.stderr)
         return EXIT_EVALUATOR
+    except WriteError as exc:
+        print(f"write error: {exc}{resume}", file=sys.stderr)
+        return EXIT_WRITE
+    except KeyboardInterrupt:
+        print(f"interrupted{resume}", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

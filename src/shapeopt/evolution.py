@@ -13,9 +13,14 @@ from __future__ import annotations
 
 import bisect
 import math
+import os
+import signal
+import sys
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Protocol, Sequence
+from functools import partial
+from typing import Callable, Iterable, Iterator, Protocol, Sequence
 
 import numpy as np
 from numpy.random import Generator
@@ -42,8 +47,10 @@ DESIGNS_PER_GENERATION = 3
 # and one generation of the largest analytic design
 # (problems.MAX_DIMENSION) then takes 80 MB.
 MAX_POPULATION = 10_000
-# Most threads scoring a generation: each has its own stack and glibc malloc
-# arena, which keeps the pages of its largest drag solve (up to 42 MiB).
+# Most workers scoring a generation.  A drag run on Linux forks them as
+# processes, each holding its own copy of the solver's heap (up to 42 MiB
+# at the largest n); other runs use threads, each with its own stack and
+# glibc malloc arena.
 MAX_WORKERS = 32
 # Round-off by which a point may stray outside its box and still lie in it.
 _BOX_SLACK = 1e-9
@@ -313,6 +320,10 @@ class MeanProposer(Protocol):
 
 
 class Problem(Protocol):
+    """A problem may also set ``scores_in_processes`` true: then a run with
+    several workers scores its designs in forked processes (see
+    :func:`run_optimization`)."""
+
     bounds: Bounds
     init_range: Bounds  # where seeding generations draw
     penalty_score: float
@@ -392,6 +403,18 @@ def generation_rng(seed: int, generation: int) -> Generator:
     return np.random.default_rng(sequence)
 
 
+def _score(problem: Problem, design: np.ndarray) -> tuple[float, str]:
+    """(score, status) of one design: a failure, or a score that is not
+    finite, is the penalty."""
+    try:
+        score = float(problem.evaluate(design))
+        if math.isfinite(score):
+            return score, STATUS_OK
+    except EvaluationFailed:
+        pass
+    return float(problem.penalty_score), STATUS_FAILED
+
+
 def evaluate_designs(
     problem: Problem,
     designs: np.ndarray,
@@ -402,21 +425,12 @@ def evaluate_designs(
     """Score a population; per-design failures become penalty records.
 
     A score that is not finite is a failure too.  ``mapper`` applies the
-    scoring to the designs in order: the builtin ``map``, or a thread
-    pool's ``map`` to score several at once.  Only the first of
+    scoring to the designs in order: the builtin ``map``, a thread pool's
+    ``map`` to score several at once, or the ``map`` of worker processes
+    forked with this problem, which score with it.  Only the first of
     bit-identical designs is scored, and none that ``buffer`` already holds
     an ``ok`` record of; the problem's score must depend on the design alone.
     """
-
-    def score_one(design: np.ndarray) -> tuple[float, str]:
-        try:
-            score = float(problem.evaluate(design))
-            if math.isfinite(score):
-                return score, STATUS_OK
-        except EvaluationFailed:
-            pass
-        return float(problem.penalty_score), STATUS_FAILED
-
     designs = np.asarray(designs, dtype=float)
     keys = [_design_key(design) for design in designs]
     outcomes: dict[bytes, tuple[float, str]] = {}
@@ -429,11 +443,125 @@ def evaluate_designs(
             fresh[key] = design
         else:
             outcomes[key] = score, STATUS_OK
-    outcomes.update(zip(fresh, mapper(score_one, fresh.values())))
+    outcomes.update(zip(fresh, mapper(partial(_score, problem), fresh.values())))
     return [
         ScoredRecord(design=design, score=score, generation=generation, status=status)
         for design, (score, status) in zip(designs, map(outcomes.get, keys))
     ]
+
+
+_PR_SET_PDEATHSIG = 1  # from linux/prctl.h
+
+
+def _serve_designs(problem: Problem, conn, parent: int) -> None:
+    """A forked worker's life: score each design it receives, until its end
+    of the pipe closes.  The kernel kills it when the thread that forked it
+    ends, so it never outlives a killed run; Ctrl-C reaches only the run."""
+    import ctypes
+
+    prctl = ctypes.CDLL(None).prctl
+    prctl.argtypes, prctl.restype = (ctypes.c_int, ctypes.c_ulong), ctypes.c_int
+    if prctl(_PR_SET_PDEATHSIG, signal.SIGKILL) != 0:
+        return
+    if os.getppid() != parent:  # the run ended before the signal was set
+        return
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
+    while True:
+        try:
+            design = conn.recv()
+        except EOFError:
+            return
+        try:
+            outcome = _score(problem, design)
+        except Exception as exc:  # raised again in the run
+            outcome = exc
+        conn.send(outcome)
+
+
+class _ForkedPool:
+    """Worker processes forked from the calling thread, each holding
+    ``problem`` as it was at the fork.  Only designs and their (score,
+    status) outcomes cross the pipes, one design per worker at a time."""
+
+    def __init__(self, problem: Problem, workers: int) -> None:
+        from multiprocessing import Pipe  # about 7 ms: only a forking run pays it
+
+        self._workers: list[tuple[int, object]] = []
+        parent = os.getpid()
+        # A Ctrl-C during the forks waits until every worker ignores it.
+        blocked = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+        try:
+            for _ in range(workers):
+                ours, theirs = Pipe()
+                pid = os.fork()
+                if pid == 0:  # the worker: it never returns into the run
+                    try:
+                        ours.close()
+                        for _, conn in self._workers:
+                            conn.close()
+                        _serve_designs(problem, theirs, parent)
+                    finally:
+                        os._exit(0)
+                theirs.close()
+                self._workers.append((pid, ours))
+        except BaseException:
+            self.close()
+            raise
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, blocked)
+
+    def map(self, score: Callable, designs: Iterable[np.ndarray]) -> list:
+        """The outcome of each design, in order.  The workers score with
+        the problem they were forked with, so ``score`` must be
+        :func:`_score` bound to that problem; it is not sent."""
+        from multiprocessing.connection import wait
+
+        designs = list(designs)
+        outcomes: list = [None] * len(designs)
+        idle = [conn for _, conn in self._workers]
+        busy: dict = {}  # connection -> index of the design it scores
+        sent = 0
+        while sent < len(designs) or busy:
+            while idle and sent < len(designs):
+                conn = idle.pop()
+                conn.send(designs[sent])
+                busy[conn] = sent
+                sent += 1
+            for conn in wait(list(busy)):
+                try:
+                    outcome = conn.recv()
+                except EOFError:
+                    raise RuntimeError("a scoring worker process ended") from None
+                if isinstance(outcome, Exception):
+                    raise outcome
+                outcomes[busy.pop(conn)] = outcome
+                idle.append(conn)
+        return outcomes
+
+    def close(self) -> None:
+        """Kill and reap every worker: none holds anything the run needs."""
+        for pid, conn in self._workers:
+            conn.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        self._workers = []
+
+
+@contextmanager
+def _scoring_mapper(problem: Problem, workers: int) -> Iterator[Callable]:
+    """The mapper of a run with ``workers`` workers: see run_optimization."""
+    if workers == 1:
+        yield map
+    elif getattr(problem, "scores_in_processes", False) and sys.platform == "linux":
+        pool = _ForkedPool(problem, workers)
+        try:
+            yield pool.map
+        finally:
+            pool.close()
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as threads:
+            yield threads.map
 
 
 def run_optimization(
@@ -449,14 +577,17 @@ def run_optimization(
     When ``initial_buffer`` already holds complete generations the loop
     continues after them and reproduces exactly what an uninterrupted run
     would have done.  Returns the buffer (``initial_buffer`` itself when
-    given).  With ``config.max_workers`` above 1, one thread pool of that
-    many workers scores the designs of every generation; otherwise they
-    are scored on the calling thread.
+    given).  With ``config.max_workers`` above 1, one pool of at most
+    ``population_size`` workers scores the designs of every generation;
+    otherwise they are scored on the calling thread.  The workers are
+    processes when the problem ``scores_in_processes`` and the platform is
+    Linux: they are forked before the first ask, so none holds a chat
+    connection, and they end with the loop, or with the run if it is killed.
+    Other runs use threads.
     """
     buffer = initial_buffer if initial_buffer is not None else RecordBuffer()
-    # The pool starts its threads on first use, so a serial run starts none.
-    with ThreadPoolExecutor(max_workers=config.max_workers) as pool:
-        mapper = pool.map if config.max_workers > 1 else map
+    workers = min(config.max_workers, config.population_size)
+    with _scoring_mapper(problem, workers) as mapper:
         for generation in range(buffer.n_generations, config.budget):
             rng = generation_rng(config.seed, generation)
             designs = strategy.ask(buffer, rng, problem, config)

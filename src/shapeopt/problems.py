@@ -96,6 +96,9 @@ class AxisymDragProblem:
     n_samples: int = 801
     n_elements: int = 120
     penalty_score = AXISYM_PENALTY
+    # The solve holds the GIL for most of its time, so threads barely overlap
+    # it: several workers score in forked processes (evolution.run_optimization).
+    scores_in_processes = True
 
     def __post_init__(self) -> None:
         if not 1 <= self.n_modes <= 8:

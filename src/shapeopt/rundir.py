@@ -30,6 +30,19 @@ class ConfigError(ValueError):
     """The configuration document cannot drive a run."""
 
 
+class WriteError(OSError):
+    """A file could not be written; the message names it and the reason."""
+
+
+@contextmanager
+def _writing(path: Path) -> Iterator[None]:
+    """Turn an OSError while writing ``path`` into a WriteError naming it."""
+    try:
+        yield
+    except OSError as exc:
+        raise WriteError(f"{path}: {exc.strerror or exc}") from exc
+
+
 def require(condition: bool, message: str) -> None:
     if not condition:
         raise ConfigError(message)
@@ -43,7 +56,8 @@ def _replacing(path: Path) -> Iterator[Path]:
     old bytes or its new ones, never a torn mix.  The temp file is removed
     if the block fails; only a kill can leave one behind.  Missing parent
     directories are made first, and a parent that cannot be made (a path
-    through a regular file, say) is a ConfigError naming ``path``.
+    through a regular file, say) is a ConfigError naming ``path``; a write
+    that fails after that is a WriteError naming it.
     """
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -51,15 +65,16 @@ def _replacing(path: Path) -> Iterator[Path]:
         raise ConfigError(f"cannot write {path}: {exc}") from exc
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        yield tmp
-        os.replace(tmp, path)
+        with _writing(path):
+            yield tmp
+            os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
 
 
 def _append_lines(path: Path, entries: Sequence[dict]) -> None:
     """Append one JSON line per entry: the records and the audit only grow."""
-    with open(path, "a", encoding="utf-8") as handle:
+    with _writing(path), open(path, "a", encoding="utf-8") as handle:
         handle.writelines(
             json.dumps(entry, allow_nan=False) + "\n" for entry in entries
         )
@@ -222,9 +237,12 @@ def open_run(
 ) -> Iterator[tuple[RecordBuffer, RecordWriter]]:
     """Lock ``run_dir``, write ``snapshot`` as the config, and yield the
     complete generations so far and the writer of the next.  Existing
-    records need ``resume`` and a matching stored config.  The ``flock``
-    on ``.lock`` (not on the records, which ``load_records`` replaces)
-    ends with the block or the process; without ``fcntl`` there is none."""
+    records need ``resume`` and a matching stored config.  The lock is a
+    POSIX record lock (``lockf``) on ``.lock``, not on the records, which
+    ``load_records`` replaces.  It belongs to this process: a forked worker
+    does not inherit it, so it ends with the block or the process even while
+    a worker lives on, and it does not keep a second run in the same process
+    out.  Without ``fcntl`` there is none."""
     try:
         run_dir.mkdir(parents=True, exist_ok=True)
         lock = open(run_dir / ".lock", "ab")
@@ -233,7 +251,7 @@ def open_run(
     with lock:
         try:
             import fcntl
-            fcntl.flock(lock, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            fcntl.lockf(lock, fcntl.LOCK_EX | fcntl.LOCK_NB)
         except ImportError:  # not POSIX: runs take no lock
             pass
         except OSError as exc:

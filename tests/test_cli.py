@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import resource
 import shutil
 import subprocess
 import sys
@@ -25,6 +26,7 @@ from shapeopt.cli import (
     EXIT_EVALUATOR,
     EXIT_OK,
     EXIT_PROPOSER,
+    EXIT_WRITE,
     OPTIMIZERS,
     PROBLEMS,
     ConfigError,
@@ -948,7 +950,7 @@ def test_resume_with_different_config_exits_2_and_keeps_bytes(tmp_path, capsys):
     assert not (run_dir / "config.json").exists()
 
 
-def test_failed_config_write_keeps_the_old_file(tmp_path, monkeypatch):
+def test_failed_config_write_keeps_the_old_file(tmp_path, monkeypatch, capsys):
     config = write_config(tmp_path, ANALYTIC)
     out = str(tmp_path / "run")
     assert run_cli("run", "--config", config, "--out", out) == EXIT_OK
@@ -960,8 +962,12 @@ def test_failed_config_write_keeps_the_old_file(tmp_path, monkeypatch):
         raise OSError("disk full")
 
     monkeypatch.setattr(rundir.json, "dump", torn_dump)
-    with pytest.raises(OSError, match="disk full"):
-        run_cli("run", "--config", config, "--out", out, "--resume")
+    capsys.readouterr()
+    code = run_cli("run", "--config", config, "--out", out, "--resume")
+    assert code == EXIT_WRITE
+    assert capsys.readouterr().err == (
+        f"write error: {run_dir / 'config.json'}: disk full; continue with --resume\n"
+    )
     # the old config.json is whole, and no temp file is left beside it
     assert {path.name: path.read_bytes() for path in run_dir.iterdir()} == before
 
@@ -998,7 +1004,7 @@ def test_evaluate_to_unusable_path_exits_2(tmp_path, capsys):
     assert err.count("\n") == 1 and out in err
 
 
-def test_failed_compare_write_keeps_the_old_file(tmp_path, monkeypatch):
+def test_failed_compare_write_keeps_the_old_file(tmp_path, monkeypatch, capsys):
     run = make_run(tmp_path, "method_a", [0])
     out = tmp_path / "report" / "comparison.csv"
     assert run_cli("compare", "--runs", str(run), "--out", str(out)) == EXIT_OK
@@ -1013,8 +1019,10 @@ def test_failed_compare_write_keeps_the_old_file(tmp_path, monkeypatch):
             raise OSError("disk full")
 
     monkeypatch.setattr(rundir.csv, "writer", TornWriter)
-    with pytest.raises(OSError, match="disk full"):
-        run_cli("compare", "--runs", str(run), "--out", str(out))
+    capsys.readouterr()
+    assert run_cli("compare", "--runs", str(run), "--out", str(out)) == EXIT_WRITE
+    # compare cannot be resumed, so the line does not suggest it
+    assert capsys.readouterr().err == f"write error: {out}: disk full\n"
     # the old CSV is whole, and no temp file is left beside it
     assert [p.name for p in out.parent.iterdir()] == ["comparison.csv"]
     assert out.read_bytes() == before
@@ -1218,6 +1226,34 @@ def test_killed_runs_resume_to_the_uninterrupted_bytes(tmp_path):
         victim.kill()
         victim.wait(timeout=60)
         assert finish("--resume") == reference, f"kill at {delay:.2f} s"
+
+
+def test_a_write_error_ends_the_run_in_one_line_and_resumes(tmp_path):
+    doc = {**AXISYM_TINY, "budget": 30, "population_size": 8, "K": 2, "n_elements": 24}
+    config = write_config(tmp_path, doc)
+    out = tmp_path / "runs"
+    argv = [sys.executable, "-m", "shapeopt.cli", "run", "--config", config,
+            "--out", str(out)]
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])
+    )}
+    assert run_cli("run", "--config", config, "--out", str(tmp_path / "whole")) == EXIT_OK
+    reference = tmp_path / "whole" / "seed_0" / "records.jsonl"
+    assert reference.stat().st_size > 30_000
+
+    def limit_file_size():  # in the child only: the records outgrow it
+        resource.setrlimit(resource.RLIMIT_FSIZE, (20_000, 20_000))
+
+    done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120,
+                          preexec_fn=limit_file_size)
+    records = out / "seed_0" / "records.jsonl"
+    assert done.returncode == EXIT_WRITE
+    assert done.stderr == (
+        f"write error: {records}: File too large; continue with --resume\n"
+    )
+    assert run_cli("run", "--config", config, "--out", str(out), "--resume") == EXIT_OK
+    assert records.read_bytes() == reference.read_bytes()
 
 
 def test_ga_cli_matches_library_loop(tmp_path):
